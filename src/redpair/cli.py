@@ -1,9 +1,10 @@
 """Command-line front end.
 
 A job is described by a flat UTF-8 config file of ``key = value`` lines
-(values: bare words, exact rationals like ``5`` or ``3/2``, and bracketed
-arrays, nested once for matrices; decimal floats are rejected so that
-exactness survives the I/O boundary).  The command verb comes from the
+(values: bare words, exact rationals ``[+-]?[0-9]+(/[0-9]+)?`` with a
+nonzero denominator, like ``5`` or ``3/2``, and bracketed arrays, nested
+once for matrices; decimals, exponents and underscores are rejected so
+that exactness survives the I/O boundary).  The command verb comes from the
 command line or from a ``command`` key in the config.
 
 Verbs: pair-info, parabolic, generic-check, sl2-threshold, fundseries,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -54,20 +56,24 @@ class ConfigError(Exception):
     """The job description cannot be parsed."""
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _parse_rational(token: str) -> Fraction:
+    """An integer or p/q; exponents, underscores and decimals are refused."""
+    if not _RATIONAL.fullmatch(token):
+        raise ConfigError(f"not an exact rational (an integer or p/q, q > 0): "
+                          f"{token!r}")
+    return Fraction(token)
+
+
 def _parse_scalar(token: str):
     token = token.strip()
     if not token:
         raise ConfigError("empty value")
     head = token[0]
     if head.isdigit() or head in "+-":
-        if "." in token:
-            raise ConfigError(
-                f"decimal floats are not accepted, use an exact fraction: {token!r}"
-            )
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad rational {token!r}: {exc}") from None
+        return _parse_rational(token)
     return token
 
 
@@ -136,21 +142,36 @@ def _as_int(value, key: str) -> int:
     raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
 
 
+def _is_array(value, depth: int = 1) -> bool:
+    """value is an array of rationals, nested depth deep."""
+    if depth == 0:
+        return isinstance(value, Fraction)
+    return isinstance(value, list) and all(_is_array(v, depth - 1) for v in value)
+
+
+def _require_array(job: dict, key: str, depth: int = 1) -> list:
+    value = _require(job, key)
+    if not _is_array(value, depth):
+        shape = "an array of " + "arrays of " * (depth - 1) + "rationals"
+        raise ConfigError(f"config key {key!r} must be {shape}, got {value!r}")
+    return value
+
+
 def build_pair(job: dict) -> ReductivePair:
     g = build_root_system(str(_require(job, "lie_type")))
     kind = str(_require(job, "k"))
     if kind == "sl2":
-        labels = [_as_int(v, "labels") for v in _require(job, "labels")]
+        labels = [_as_int(v, "labels") for v in _require_array(job, "labels")]
         return make_sl2_pair(g, labels)
     if kind == "cartan":
         return make_cartan_pair(g)
     if kind == "levi":
-        nodes = {_as_int(v, "nodes") for v in _require(job, "nodes")}
+        nodes = {_as_int(v, "nodes") for v in _require_array(job, "nodes")}
         return make_levi_pair(g, nodes)
     if kind == "explicit":
-        restriction = _require(job, "restriction")
-        simple = [tuple(row) for row in _require(job, "k_simple_roots")]
-        coroots = [tuple(row) for row in _require(job, "k_coroots")]
+        restriction = _require_array(job, "restriction", 2)
+        simple = [tuple(row) for row in _require_array(job, "k_simple_roots", 2)]
+        coroots = [tuple(row) for row in _require_array(job, "k_coroots", 2)]
         return make_explicit_pair(g, restriction, simple, coroots)
     raise ConfigError(f"unknown k kind {kind!r}; expected sl2, cartan, levi, explicit")
 
@@ -163,7 +184,7 @@ def _as_tweight(value, p: ReductivePair, key: str) -> Weight:
                 f"{key!r} was a scalar but the small side has rank {p.rank_t}"
             )
         return (value,)
-    if isinstance(value, list) and all(isinstance(v, Fraction) for v in value):
+    if _is_array(value):
         if len(value) != p.rank_t:
             raise ConfigError(f"{key!r} must have {p.rank_t} coordinates")
         return tuple(value)
@@ -177,7 +198,7 @@ def _as_gweight(value, p: ReductivePair, job: dict) -> Weight:
         if p.rank_t != 1:
             raise ConfigError("scalar nu needs a rank-one small side")
         return p.lift_weight((value,))
-    if isinstance(value, list) and all(isinstance(v, Fraction) for v in value):
+    if _is_array(value):
         if len(value) != p.g.rank:
             raise ConfigError(f"nu must have {p.g.rank} coordinates")
         nu = tuple(value)
@@ -488,12 +509,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{job['command']!r}"
             )
         if args.cutoff is not None:
-            if "." in args.cutoff:
-                raise ConfigError("cutoff must be an exact rational, not a float")
-            try:
-                args.cutoff = Fraction(args.cutoff)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"bad cutoff {args.cutoff!r}: {exc}") from None
+            args.cutoff = _parse_rational(args.cutoff.strip())
         doc = run_job(job, args)
     except ConfigError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

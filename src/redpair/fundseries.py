@@ -213,48 +213,38 @@ def _candidate_ktypes(p: ReductivePair, parab: CompatibleParabolic,
     a nonzero term: delta = w(mu + rho + x) - rho for a Weyl element w
     and an N-combination x of the weights of n cap k-perp.
 
-    The walk over x is capped by an exact consequence of Cauchy-Schwarz:
-    any contributing x satisfies
-        t_pair(lam, x) <= |t_pair(lam, rho + mu)| + sqrt(Q),
-    with Q = |lam|^2 (2 cutoff + 2 |rho|^2), tested without leaving the
-    rationals by squaring.
+    Such a delta has |mu + rho + x|^2 = |delta + rho|^2 <= R with
+    R = cutoff - 3 |rho|^2: W_k acts by isometries, and
+        |delta + 2 rho|^2 = |delta + rho|^2 + 2 <delta, rho> + 3 |rho|^2
+    with <delta, rho> >= 0 for dominant delta.  So the lam-level of
+    mu + rho + x is at most |lam| sqrt(R), tested squared; each weight
+    raises the level, so the points x under that cap are grown one
+    support weight at a time.  One fold per point is complete: delta +
+    rho is strictly dominant, hence the only dominant point of the
+    W_k-orbit of mu + rho + x, which the simple-reflection fold reaches.
     """
     lam = parab.lam
     mu_rho = add(e.mu, p.rho)
-    c_shift = abs(p.t_pair(lam, mu_rho))
-    q_bound = p.t_pair(lam, lam) * (2 * cutoff + 2 * p.t_pair(p.rho, p.rho))
-
-    def within_cap(x: Weight) -> bool:
-        d = p.t_pair(lam, x) - c_shift
-        return d <= 0 or d * d <= q_bound
-
-    supports = sorted(parab.ch_t_n_cap_kperp.support(),
-                      key=lambda b: (-p.t_pair(lam, b), b))
-    points: set[Weight] = set()
-
-    def walk(i: int, x: Weight) -> None:
-        if not within_cap(x):
-            return
-        if i == len(supports):
-            points.add(x)
-            return
-        step = x
-        while within_cap(step):
-            walk(i + 1, step)
-            step = add(step, supports[i])
-
-    walk(0, zero(p.rank_t))
+    radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
+    cap2 = p.t_pair(lam, lam) * radius2
+    points: dict[Weight, Fraction] = {zero(p.rank_t): p.t_pair(lam, mu_rho)}
+    for beta in parab.ch_t_n_cap_kperp.support():
+        step = p.t_pair(lam, beta)
+        for x, level in list(points.items()):
+            x, level = add(x, beta), level + step
+            # a point already present has had (or will have) its own walk
+            while (level <= 0 or level * level <= cap2) and x not in points:
+                points[x] = level
+                x, level = add(x, beta), level + step
 
     candidates: set[Weight] = set()
-    group = p.k_weyl_group()
     for x in points:
-        base = add(mu_rho, x)
-        for w in group:
-            delta = sub(w.apply(base), p.rho)
-            if p.dominance_defect(delta) is not None:
-                continue
-            if norm2_shifted(p, delta) > cutoff:
-                continue
+        shifted = add(mu_rho, x)
+        if p.t_pair(shifted, shifted) > radius2:
+            continue
+        delta = sub(_fold_dominant(shifted, p.k_simple_roots, p.coroot_pairing),
+                    p.rho)
+        if p.dominance_defect(delta) is None and norm2_shifted(p, delta) <= cutoff:
             candidates.add(delta)
     return sorted(candidates, key=lambda d: (norm2_shifted(p, d), d))
 
@@ -289,19 +279,23 @@ class InfinitesimalCharacter:
     representative: Weight
 
 
-def dominant_representative(rs: RootSystem, x: Weight) -> Weight:
-    """The unique weakly dominant point of the Weyl orbit of x."""
-    current = x
+def _fold_dominant(x: Weight, simple_roots: tuple[Weight, ...],
+                  coroot_pairing) -> Weight:
+    """The unique weakly dominant point of the Weyl orbit of x, reached by
+    the simple reflections x -> x - <x, sigma_i-coroot> sigma_i."""
     while True:
-        for i in range(rs.rank):
-            c = rs.coroot_pairing(current, i)
+        for i, sigma in enumerate(simple_roots):
+            c = coroot_pairing(x, i)
             if c < 0:
-                moved = list(current)
-                moved[i] -= c
-                current = tuple(moved)
+                x = sub(x, scale(c, sigma))
                 break
         else:
-            return current
+            return x
+
+
+def dominant_representative(rs: RootSystem, x: Weight) -> Weight:
+    """The unique weakly dominant point of the Weyl orbit of x."""
+    return _fold_dominant(x, rs.simple_roots, rs.coroot_pairing)
 
 
 def infinitesimal_character(rs: RootSystem, e: InducingModule) -> InfinitesimalCharacter:

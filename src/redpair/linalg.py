@@ -32,26 +32,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_rank(a: Matrix) -> int:
-    rows = [list(r) for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse; raises ValueError on a singular matrix."""
     n = len(a)

@@ -150,9 +150,6 @@ class RootSystem:
         num = sum(a * b for a, b in zip(x, col))
         return 2 * num / self.gram[i][i]
 
-    def inverse_cartan(self) -> Matrix:
-        return inverse(self.cartan)
-
     def from_fundamental(self, coords: Weight) -> Weight:
         """Convert fundamental-weight coordinates to simple-root coordinates.
 

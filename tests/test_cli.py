@@ -280,6 +280,58 @@ max_weyl = 1
     assert json.loads(out)["genericity"]["holds"] is True
 
 
+@pytest.mark.parametrize("token", ["1e1", "1_0", "+-1", "1/2/3", "0x10"])
+def test_parse_rejects_non_rational_numerals(token):
+    with pytest.raises(ConfigError):
+        parse_config(f"mu = {token}\n")
+
+
+@pytest.mark.parametrize("token", ["1e1", "1_0"])
+def test_config_numeral_grammar_is_parse_error(tmp_path, capsys, token):
+    # Fraction() reads both as 10; the config grammar accepts only p/q
+    cfg = write_config(tmp_path, f"""
+lie_type = A2
+k = sl2
+labels = [2, 2]
+command = generic-check
+mu = {token}
+""")
+    code, out, err = run_main(capsys, ["--config", cfg])
+    assert code == 2
+    assert "parse error" in err and token in err
+    assert out == ""
+
+
+def test_cutoff_flag_numeral_grammar_is_parse_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, A2_FUNDSERIES)
+    code, out, err = run_main(capsys, ["--config", cfg, "--cutoff", "1e2"])
+    assert code == 2
+    assert "parse error" in err
+    assert out == ""
+    code, out, _ = run_main(capsys, ["--config", cfg, "--cutoff", "169/8",
+                                     "--emit", "machine"])
+    assert code == 0
+    assert json.loads(out)["table"]["cutoff"] == "169/8"
+
+
+EXPLICIT = "k = explicit\nrestriction = {}\nk_simple_roots = {}\nk_coroots = {}"
+
+
+@pytest.mark.parametrize("key, body", [
+    ("labels", "k = sl2\nlabels = 2"),
+    ("nodes", "k = levi\nnodes = [[1]]"),
+    ("restriction", EXPLICIT.format("[1, 2]", "[[2]]", "[[1]]")),
+    ("k_simple_roots", EXPLICIT.format("[[2, 2]]", "[2]", "[[1]]")),
+    ("k_coroots", EXPLICIT.format("[[2, 2]]", "[[2]]", "[[[1]]]")),
+])
+def test_array_key_shape_is_parse_error(tmp_path, capsys, key, body):
+    cfg = write_config(tmp_path, f"lie_type = A2\ncommand = pair-info\n{body}\n")
+    code, out, err = run_main(capsys, ["--config", cfg])
+    assert code == 2
+    assert f"parse error: config key {key!r}" in err
+    assert out == ""
+
+
 def test_command_conflict_is_parse_error(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 lie_type = A2
