@@ -9,22 +9,22 @@ simple roots, normalized so long roots have squared length 2.
 
 from fractions import Fraction
 
-from redpair import build_root_system, pair, vec, weyl_dim, weyl_group
+from redpair import build_root_system, vec, weyl_dim, weyl_group
 
 # build a rank-two root system; positive roots come out closed under the
 # usual height order
 rs = build_root_system("B2")
 print("B2 positive roots (simple-root coordinates):")
 for root in rs.positive_roots:
-    print("   ", root, "  squared length", pair(rs, root, root))
+    print("   ", root, "  squared length", rs.pair(root, root))
 
 # the Weyl vector is half the sum of the positive roots
 print("Weyl vector:", rs.rho_tilde)
 
 # the short simple root has squared length 1 under the normalization
 a1, a2 = rs.simple_roots
-assert pair(rs, a1, a1) == 2
-assert pair(rs, a2, a2) == 1
+assert rs.pair(a1, a1) == 2
+assert rs.pair(a2, a2) == 1
 
 # full Weyl group enumeration with exact lengths
 elements = weyl_group(rs)
@@ -35,7 +35,7 @@ for w in sorted(elements, key=lambda w: (w.length, w.word)):
 # the length of each element equals its inversion count
 for w in elements:
     image = w.apply(rs.rho_tilde)
-    inversions = sum(1 for b in rs.positive_roots if pair(rs, image, b) < 0)
+    inversions = sum(1 for b in rs.positive_roots if rs.pair(image, b) < 0)
     assert inversions == w.length
 
 # Weyl dimension formula, exact in the fractions

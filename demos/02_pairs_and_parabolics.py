@@ -16,8 +16,6 @@ from redpair import (
     make_cartan_pair,
     make_levi_pair,
     make_sl2_pair,
-    restrict,
-    t_pair,
     vec,
 )
 from redpair.weights import add, scale
@@ -29,7 +27,7 @@ g = build_root_system("B2")
 p = make_sl2_pair(g, [2, 2])
 print("restricted roots:", sorted(p.delta_t))
 print("restrictions of the positive roots:",
-      sorted(restrict(p, r)[0] for r in g.positive_roots))
+      sorted(p.restrict(r)[0] for r in g.positive_roots))
 print("rho of the subalgebra:", p.rho)
 print("induced form constant:", p.t_gram[0][0])
 
@@ -63,4 +61,4 @@ mu = vec(2, 0)
 lam = add(mu, scale(2, levi.rho))
 parab = compatible_parabolic(levi, lam)
 print("Levi parabolic: s =", parab.s, " r =", parab.r,
-      " t_pair(lam, lam) =", t_pair(levi, lam, lam))
+      " t_pair(lam, lam) =", levi.t_pair(lam, lam))

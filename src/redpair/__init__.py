@@ -12,16 +12,16 @@ from .fundseries import (
     euler_multiplicity,
     inducing_module,
     infinitesimal_character,
+    kostant_terms,
     kostant_weights,
     ktype_table,
-    multiplicity_bound,
     partition_count,
+    series_parabolic,
     verify_minimal_ktype,
 )
 from .genericity import (
     GenericityReport,
     is_generic,
-    iter_submultisets,
     minimal_ktype,
     norm2_shifted,
     sl2_threshold,
@@ -33,8 +33,6 @@ from .reductive import (
     make_explicit_pair,
     make_levi_pair,
     make_sl2_pair,
-    restrict,
-    t_pair,
 )
 from .rootsystem import (
     CapExceeded,
@@ -42,7 +40,6 @@ from .rootsystem import (
     RootSystem,
     WeylElement,
     build_root_system,
-    pair,
     weyl_dim,
     weyl_group,
 )
@@ -73,7 +70,7 @@ __all__ = [
     "infinitesimal_character",
     "is_generic",
     "is_regular",
-    "iter_submultisets",
+    "kostant_terms",
     "kostant_weights",
     "ktype_table",
     "make_cartan_pair",
@@ -81,14 +78,11 @@ __all__ = [
     "make_levi_pair",
     "make_sl2_pair",
     "minimal_ktype",
-    "multiplicity_bound",
     "norm2_shifted",
-    "pair",
     "partition_count",
-    "restrict",
+    "series_parabolic",
     "sl2_threshold",
     "split_roots",
-    "t_pair",
     "vec",
     "verify_minimal_ktype",
     "weight",

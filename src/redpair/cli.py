@@ -27,8 +27,8 @@ from .fundseries import (
     InducingModule,
     MultiplicityTable,
     infinitesimal_character,
-    inducing_module,
     ktype_table,
+    series_parabolic,
     verify_minimal_ktype,
 )
 from .genericity import GenericityReport, is_generic, norm2_shifted, sl2_threshold
@@ -310,43 +310,6 @@ def _table_doc(p: ReductivePair, table: MultiplicityTable) -> dict:
 # job execution
 
 
-def _resolve_series_parabolic(p: ReductivePair, omega: Weight,
-                              job: dict) -> CompatibleParabolic:
-    """Find the minimal parabolic consistent with the inducing weight:
-    the chamber must reproduce itself under lam = omega + 2 rho_n_perp
-    + 2 rho.  Seeded at the restricted Weyl vector unless the config
-    pins a chamber with an explicit ``lambda``."""
-    if "lambda" in job:
-        lam = _as_tweight(job["lambda"], p, "lambda")
-    else:
-        lam = p.restrict(p.g.rho_tilde)
-    for _ in range(p.g.rank + 3):
-        parab = compatible_parabolic(p, lam)
-        if not parab.minimal:
-            raise ValueError(
-                f"the chamber weight {lam} is irregular; give a regular "
-                f"'lambda' in the config"
-            )
-        mu = add(omega, scale(2, parab.rho_n_perp))
-        lam_next = add(mu, scale(2, p.rho))
-        parab_next = compatible_parabolic(p, lam_next)
-        if frozenset(parab_next.n_roots) == frozenset(parab.n_roots):
-            return parab_next
-        lam = lam_next
-    raise ValueError(
-        "no compatible parabolic is consistent with this inducing weight; "
-        "the chamber iteration did not stabilize"
-    )
-
-
-def _series_inputs(p: ReductivePair, job: dict) -> tuple[CompatibleParabolic, InducingModule]:
-    nu = _as_gweight(_require(job, "nu"), p, job)
-    omega = p.restrict(nu)
-    parab = _resolve_series_parabolic(p, omega, job)
-    e = inducing_module(p, parab, nu)
-    return parab, e
-
-
 def _get_cutoff(job: dict, args, p: ReductivePair, e: InducingModule) -> Fraction:
     if args.cutoff is not None:
         return args.cutoff
@@ -368,6 +331,8 @@ def run_job(job: dict, args) -> dict:
     if cap is None and "max_weyl" in job:
         cap = _as_int(job["max_weyl"], "max_weyl")
     if cap is not None:
+        if cap < 1:
+            raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
         # guard: refuse jobs whose small Weyl group would be enumerated
         # beyond the cap
         p.k_weyl_group(max_size=cap)
@@ -408,7 +373,9 @@ def run_job(job: dict, args) -> dict:
         return doc
 
     if command in ("fundseries", "verify"):
-        parab, e = _series_inputs(p, job)
+        nu = _as_gweight(_require(job, "nu"), p, job)
+        lam = _as_tweight(job["lambda"], p, "lambda") if "lambda" in job else None
+        parab, e = series_parabolic(p, nu, lam)
         cutoff = _get_cutoff(job, args, p, e)
         table = ktype_table(p, parab, e, cutoff)
         doc["parabolic"] = _parabolic_doc(p, parab)
@@ -494,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config!r} is not valid UTF-8: {exc}") from None
         job = parse_config(text)
         if args.command is None:
             if "command" not in job:

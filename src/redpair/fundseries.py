@@ -3,17 +3,22 @@
 The series itself is never materialized.  Its k-character is assembled
 from three exactly computable ingredients: the cohomology of the
 positive k-root nilradical acting on a k-type (Kostant: weights
-w(delta + rho) - rho, one per Weyl element, in degree length(w)), the
-symmetric algebra on n cap k-perp (a vector partition function), and
-the inducing module, which for a minimal parabolic enters only through
-its dimension and the scalar by which the small Cartan acts.  The
-alternating sum
+w(delta + rho) - rho, one per Weyl element, in degree length(w), read
+off the Weyl orbit of the strictly dominant delta + rho, so no group is
+built), the symmetric algebra on n cap k-perp (a vector partition
+function), and the inducing module, which for a minimal parabolic
+enters only through its dimension and the scalar by which the small
+Cartan acts.  Grouping the terms by degree i gives
 
-    dim E * sum_w (-1)^len(w) * count(w(delta+rho) - rho - omega - 2 rho_n_perp)
+    kostant_terms[i] = dim E * sum_{len(w) = i} count(w(delta+rho) - rho - mu)
 
-is the Euler characteristic of the series against V(delta); under
-genericity the series lives in a single degree, making the sum an
-honest multiplicity.
+with mu = omega + 2 rho_n_perp.  Their alternating sum is the Euler
+characteristic of the series against V(delta); under genericity the
+series lives in a single degree, making the sum an honest multiplicity,
+and each term bounds the multiplicity in degree s - i.
+
+The chamber of the series, the minimal parabolic consistent with the
+inducing weight, is resolved by ``series_parabolic``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .genericity import norm2_shifted
-from .parabolic import CompatibleParabolic
+from .parabolic import CompatibleParabolic, compatible_parabolic
 from .reductive import ReductivePair
-from .rootsystem import RootSystem, weyl_dim_from_roots
+from .rootsystem import RootSystem, fold_dominant, reflection_orbit, weyl_dim_from_roots
 from .weights import Weight, WeightMultiset, add, is_zero, scale, sub, zero
 
 
@@ -67,6 +72,37 @@ def inducing_module(p: ReductivePair, parab: CompatibleParabolic,
     omega = p.restrict(nu)
     mu = add(omega, scale(2, parab.rho_n_perp))
     return InducingModule(nu=nu, omega=omega, dim_e=dim_e, mu=mu)
+
+
+def series_parabolic(p: ReductivePair, nu: Weight,
+                     lam: Weight | None = None) -> tuple[CompatibleParabolic, InducingModule]:
+    """The minimal parabolic consistent with the inducing weight nu, and
+    the inducing module on it.
+
+    The chamber must reproduce itself under lam = omega + 2 rho_n_perp
+    + 2 rho, with omega the restriction of nu.  The iteration is seeded
+    at the restricted Weyl vector unless lam pins a chamber.
+    """
+    omega = p.restrict(nu)
+    if lam is None:
+        lam = p.restrict(p.g.rho_tilde)
+    for _ in range(p.g.rank + 3):
+        parab = compatible_parabolic(p, lam)
+        if not parab.minimal:
+            raise ValueError(
+                f"the chamber weight {lam} is irregular; give a regular "
+                f"'lambda' in the config"
+            )
+        mu = add(omega, scale(2, parab.rho_n_perp))
+        lam_next = add(mu, scale(2, p.rho))
+        parab_next = compatible_parabolic(p, lam_next)
+        if frozenset(parab_next.n_roots) == frozenset(parab.n_roots):
+            return parab_next, inducing_module(p, parab_next, nu)
+        lam = lam_next
+    raise ValueError(
+        "no compatible parabolic is consistent with this inducing weight; "
+        "the chamber iteration did not stabilize"
+    )
 
 
 class PartitionCounter:
@@ -135,11 +171,9 @@ def kostant_weights(p: ReductivePair, delta: Weight,
     defect = p.dominance_defect(delta)
     if defect is not None:
         raise ValueError(f"delta is not dominant integral: {defect}")
-    shifted = add(delta, p.rho)
-    out = [(w.length, sub(w.apply(shifted), p.rho))
-           for w in p.k_weyl_group(max_weyl)]
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots,
+                             p.coroot_pairing, max_weyl)
+    return sorted((len(word), sub(y, p.rho)) for word, y in orbit)
 
 
 def _check_series_inputs(p: ReductivePair, parab: CompatibleParabolic,
@@ -155,40 +189,30 @@ def _check_series_inputs(p: ReductivePair, parab: CompatibleParabolic,
                          "mu != omega + 2 rho_n_perp")
 
 
+def kostant_terms(p: ReductivePair, parab: CompatibleParabolic,
+                  e: InducingModule, delta: Weight,
+                  counter: PartitionCounter | None = None) -> dict[int, int]:
+    """The Euler characteristic of the series against V(delta), split by
+    Kostant degree: degree i maps to dim E times the unsigned sum of the
+    partition counts of its length-i terms, an upper bound for the
+    multiplicity of V(delta) in degree s - i."""
+    _check_series_inputs(p, parab, e)
+    if counter is None:
+        counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
+    terms: dict[int, int] = {}
+    for length, w_weight in kostant_weights(p, delta):
+        terms[length] = terms.get(length, 0) + e.dim_e * counter.count(sub(w_weight, e.mu))
+    return terms
+
+
 def euler_multiplicity(p: ReductivePair, parab: CompatibleParabolic,
                        e: InducingModule, delta: Weight,
                        counter: PartitionCounter | None = None) -> int:
-    """Euler characteristic of the series against V(delta); equals the
-    multiplicity when the inducing k-type is generic."""
-    _check_series_inputs(p, parab, e)
-    defect = p.dominance_defect(delta)
-    if defect is not None:
-        raise ValueError(f"delta is not dominant integral: {defect}")
-    if counter is None:
-        counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
-    base = add(e.omega, scale(2, parab.rho_n_perp))
-    total = 0
-    for length, w_weight in kostant_weights(p, delta):
-        target = sub(w_weight, base)
-        total += (-1) ** length * counter.count(target)
-    return e.dim_e * total
-
-
-def multiplicity_bound(p: ReductivePair, parab: CompatibleParabolic,
-                       e: InducingModule, delta: Weight, i: int) -> int:
-    """Upper bound for the multiplicity of V(delta) in degree s - i: the
-    unsigned sum of the length-i terms of the Euler characteristic."""
-    _check_series_inputs(p, parab, e)
-    defect = p.dominance_defect(delta)
-    if defect is not None:
-        raise ValueError(f"delta is not dominant integral: {defect}")
-    counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
-    base = add(e.omega, scale(2, parab.rho_n_perp))
-    total = 0
-    for length, w_weight in kostant_weights(p, delta):
-        if length == i:
-            total += counter.count(sub(w_weight, base))
-    return e.dim_e * total
+    """Euler characteristic of the series against V(delta), the
+    alternating sum of its Kostant terms; equals the multiplicity when
+    the inducing k-type is generic."""
+    terms = kostant_terms(p, parab, e, delta, counter)
+    return sum((-1) ** i * value for i, value in terms.items())
 
 
 @dataclass(frozen=True)
@@ -242,7 +266,7 @@ def _candidate_ktypes(p: ReductivePair, parab: CompatibleParabolic,
         shifted = add(mu_rho, x)
         if p.t_pair(shifted, shifted) > radius2:
             continue
-        delta = sub(_fold_dominant(shifted, p.k_simple_roots, p.coroot_pairing),
+        delta = sub(fold_dominant(shifted, p.k_simple_roots, p.coroot_pairing),
                     p.rho)
         if p.dominance_defect(delta) is None and norm2_shifted(p, delta) <= cutoff:
             candidates.add(delta)
@@ -279,23 +303,9 @@ class InfinitesimalCharacter:
     representative: Weight
 
 
-def _fold_dominant(x: Weight, simple_roots: tuple[Weight, ...],
-                  coroot_pairing) -> Weight:
-    """The unique weakly dominant point of the Weyl orbit of x, reached by
-    the simple reflections x -> x - <x, sigma_i-coroot> sigma_i."""
-    while True:
-        for i, sigma in enumerate(simple_roots):
-            c = coroot_pairing(x, i)
-            if c < 0:
-                x = sub(x, scale(c, sigma))
-                break
-        else:
-            return x
-
-
 def dominant_representative(rs: RootSystem, x: Weight) -> Weight:
     """The unique weakly dominant point of the Weyl orbit of x."""
-    return _fold_dominant(x, rs.simple_roots, rs.coroot_pairing)
+    return fold_dominant(x, rs.simple_roots, rs.coroot_pairing)
 
 
 def infinitesimal_character(rs: RootSystem, e: InducingModule) -> InfinitesimalCharacter:

@@ -15,7 +15,7 @@ Condition (2) is a search over exponentially many submultisets; the
 search here is a depth-first scan over multiplicity vectors, ordered by
 decreasing pairing with mu + 2 rho, with an exact interval bound that
 prunes any branch all of whose completions provably keep the quadratic
-positive.  An exhaustive enumerator is kept alongside as an oracle.
+positive.  The tests keep an exhaustive enumerator as its oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .parabolic import is_regular, split_roots
 from .reductive import ReductivePair
@@ -49,25 +48,6 @@ def minimal_ktype(p: ReductivePair, candidates: list[Weight]) -> Weight:
         if defect is not None:
             raise ValueError(f"candidate {mu} is not dominant integral: {defect}")
     return min(candidates, key=lambda mu: (norm2_shifted(p, mu), mu))
-
-
-def iter_submultisets(ms: WeightMultiset) -> Iterator[dict[Weight, int]]:
-    """All nonempty submultisets, as weight -> multiplicity dicts."""
-    support = ms.support()
-
-    def rec(i: int, current: dict[Weight, int]) -> Iterator[dict[Weight, int]]:
-        if i == len(support):
-            if current:
-                yield dict(current)
-            return
-        w = support[i]
-        for n in range(ms.entries[w] + 1):
-            if n:
-                current[w] = n
-            yield from rec(i + 1, current)
-        current.pop(w, None)
-
-    yield from rec(0, {})
 
 
 class _Condition2Search:

@@ -7,10 +7,6 @@ from fractions import Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)

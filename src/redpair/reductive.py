@@ -86,15 +86,10 @@ class ReductivePair:
         return WeightMultiset(ms, rank=self.rank_t)
 
     def k_weyl_group(self, max_size: int | None = 1_000_000) -> list[WeylElement]:
-        """The subalgebra's Weyl group acting on small-side weights."""
-        gens = []
-        for sigma, f in zip(self.k_simple_roots, self.k_coroot_functionals):
-            gens.append(tuple(
-                tuple((Fraction(1) if a == b else Fraction(0)) - sigma[a] * f[b]
-                      for b in range(self.rank_t))
-                for a in range(self.rank_t)
-            ))
-        return enumerate_reflection_group(gens, self.rank_t, max_size)
+        """The subalgebra's Weyl group acting on small-side weights, read
+        off the orbit of rho."""
+        return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing,
+                                          self.rho, max_size)
 
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
@@ -310,11 +305,3 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
         delta_t=delta_t,
         embedding_kind="explicit",
     )
-
-
-def restrict(p: ReductivePair, x: Weight) -> Weight:
-    return p.restrict(x)
-
-
-def t_pair(p: ReductivePair, x: Weight, y: Weight) -> Fraction:
-    return p.t_pair(x, y)

@@ -5,13 +5,20 @@ bilinear form is normalized so that every long root of every simple
 component has squared length 2; it is represented by the Gram matrix of
 the simple roots, from which positive roots, the Weyl vector, Weyl
 groups and the Weyl dimension formula are all derived.
+
+Weyl groups are never built as matrices.  One breadth-first walk over
+the simple reflections, acting on the vectors of the orbit of a strictly
+dominant weight, yields every element as a reduced word together with
+its image of that weight; ``weyl_group``, the small Weyl group of a pair
+and the Kostant weights of a k-type are all read off that walk.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .linalg import Matrix, inverse, mat_vec
 from .weights import Weight, add, scale, sub, zero
@@ -255,76 +262,94 @@ def build_root_system(t: LieType | str) -> RootSystem:
     )
 
 
-def pair(rs: RootSystem, x: Weight, y: Weight) -> Fraction:
-    return rs.pair(x, y)
+def _reflect(x: Weight, c: Fraction, sigma: Weight) -> Weight:
+    """x - c sigma: the simple reflection of x, given c = <x, sigma-coroot>."""
+    return tuple(a - c * b for a, b in zip(x, sigma))
+
+
+def fold_dominant(x: Weight, simple_roots: tuple[Weight, ...],
+                  coroot_pairing) -> Weight:
+    """The unique weakly dominant point of the Weyl orbit of x, reached by
+    the simple reflections x -> x - <x, sigma_i-coroot> sigma_i."""
+    while True:
+        for i, sigma in enumerate(simple_roots):
+            c = coroot_pairing(x, i)
+            if c < 0:
+                x = _reflect(x, c, sigma)
+                break
+        else:
+            return x
+
+
+def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
+                     max_size: int | None = None) -> list[tuple[tuple[int, ...], Weight]]:
+    """The Weyl orbit of a strictly dominant x as (reduced word, w x) pairs,
+    breadth-first under y -> y - <y, sigma_i-coroot> sigma_i.
+
+    ``coroot_pairing(y, i)`` is <y, sigma_i-coroot>.  A word is read right
+    to left: (i, j) is s_i s_j.  A strictly dominant x has a trivial
+    stabiliser, so the orbit is in bijection with the group, and s_i w is
+    longer than w exactly when <w x, sigma_i-coroot> > 0.  Each level is
+    therefore reached from the one before by those reflections alone, and
+    the depth of a point is the length of its word.
+    """
+    for i in range(len(simple_roots)):
+        c = coroot_pairing(x, i)
+        if c <= 0:
+            raise ValueError(f"orbit base point {x} is not strictly dominant: "
+                             f"coroot pairing {c} at simple root {i + 1}")
+    orbit = [((), x)]
+    level = {x: ()}
+    while level:
+        nxt: dict[Weight, tuple[int, ...]] = {}
+        for y, word in level.items():
+            for i, sigma in enumerate(simple_roots):
+                c = coroot_pairing(y, i)
+                if c <= 0:
+                    continue
+                z = _reflect(y, c, sigma)
+                if z in nxt:
+                    continue
+                nxt[z] = (i,) + word
+                if max_size is not None and len(orbit) + len(nxt) > max_size:
+                    raise CapExceeded(
+                        f"reflection group exceeds the cap of {max_size} elements"
+                    )
+        orbit.extend((word, z) for z, word in nxt.items())
+        level = nxt
+    return orbit
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element as a reduced word and its action matrix.
+    """A Weyl group element as a reduced word in the simple reflections.
 
-    ``matrix`` acts on simple-root coordinates; ``word`` lists simple
-    reflection indices, and its length is the Coxeter length.
+    ``word`` lists simple reflection indices, read right to left as in
+    ``reflection_orbit``; its length is the Coxeter length.  ``apply``
+    folds the word over the generating reflections.
     """
 
     word: tuple[int, ...]
-    matrix: Matrix
+    simple_roots: tuple[Weight, ...] = field(repr=False, compare=False)
+    coroot_pairing: Callable[[Weight, int], Fraction] = field(repr=False, compare=False)
 
     @property
     def length(self) -> int:
         return len(self.word)
 
     def apply(self, x: Weight) -> Weight:
-        return mat_vec(self.matrix, x)
+        for i in reversed(self.word):
+            x = _reflect(x, self.coroot_pairing(x, i), self.simple_roots[i])
+        return x
 
 
-def _reflection_matrices(cartan: Matrix) -> list[Matrix]:
-    rank = len(cartan)
-    mats = []
-    for i in range(rank):
-        rows = []
-        for a in range(rank):
-            row = [Fraction(1) if a == b else Fraction(0) for b in range(rank)]
-            if a == i:
-                # s_i sends x to x - <x, alpha_i-coroot> alpha_i; only
-                # coordinate i changes: x_i -> x_i - sum_j x_j C[j][i]
-                row = [row[b] - cartan[b][i] for b in range(rank)]
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return mats
-
-
-def enumerate_reflection_group(generators: list[Matrix], rank: int,
+def enumerate_reflection_group(simple_roots: tuple[Weight, ...], coroot_pairing,
+                               rho: Weight,
                                max_size: int | None = None) -> list[WeylElement]:
-    """Breadth-first closure of reflection generators; depth equals length."""
-    ident = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(rank))
-        for i in range(rank)
-    )
-    seen = {ident}
-    elements = [WeylElement((), ident)]
-    frontier = [elements[0]]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for idx, gen in enumerate(generators):
-                prod = tuple(
-                    tuple(sum(w.matrix[a][c] * gen[c][b] for c in range(rank))
-                          for b in range(rank))
-                    for a in range(rank)
-                )
-                if prod in seen:
-                    continue
-                seen.add(prod)
-                elem = WeylElement(w.word + (idx,), prod)
-                elements.append(elem)
-                if max_size is not None and len(elements) > max_size:
-                    raise CapExceeded(
-                        f"reflection group exceeds the cap of {max_size} elements"
-                    )
-                nxt.append(elem)
-        frontier = nxt
-    return elements
+    """Every element of the group generated by the simple reflections,
+    read off the orbit of the strictly dominant rho; depth equals length."""
+    return [WeylElement(word, simple_roots, coroot_pairing)
+            for word, _ in reflection_orbit(rho, simple_roots, coroot_pairing, max_size)]
 
 
 def weyl_group(rs: RootSystem, max_rank: int = 6,
@@ -338,7 +363,8 @@ def weyl_group(rs: RootSystem, max_rank: int = 6,
         raise CapExceeded(
             f"rank {rs.rank} exceeds the Weyl enumeration cap of {max_rank}"
         )
-    return enumerate_reflection_group(_reflection_matrices(rs.cartan), rs.rank, max_size)
+    return enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing,
+                                      rs.rho_tilde, max_size)
 
 
 def weyl_dim_from_roots(positive_roots: list[Weight],

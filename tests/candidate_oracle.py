@@ -4,8 +4,9 @@ This is the original search of ``fundseries._candidate_ktypes``: a walk
 over multiplicity vectors of the weights of n cap k-perp under a loose
 Cauchy-Schwarz cap, followed by every Weyl image of every point.  It is
 slow (it visits every path to a point and enumerates the whole small
-Weyl group) but independent of the fold used by the library, so the two
-are compared in ``test_candidate_oracle.py``.
+Weyl group, as matrices from ``weyl_oracle``) but independent of the
+reflections used by the library, so the two are compared in
+``test_candidate_oracle.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from redpair.genericity import norm2_shifted
+from redpair.linalg import mat_vec
 from redpair.weights import Weight, add, sub, zero
+from weyl_oracle import k_group
 
 
 def walk_candidates(p, parab, e, cutoff: Fraction) -> list[Weight]:
@@ -49,11 +52,11 @@ def walk_candidates(p, parab, e, cutoff: Fraction) -> list[Weight]:
     walk(0, zero(p.rank_t))
 
     candidates: set[Weight] = set()
-    group = p.k_weyl_group()
+    group = k_group(p)
     for x in points:
         base = add(mu_rho, x)
-        for w in group:
-            delta = sub(w.apply(base), p.rho)
+        for _, w in group:
+            delta = sub(mat_vec(w, base), p.rho)
             if p.dominance_defect(delta) is not None:
                 continue
             if norm2_shifted(p, delta) > cutoff:

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from candidate_oracle import walk_candidates
-from redpair.cli import _series_inputs
-from redpair.fundseries import _candidate_ktypes, inducing_module, ktype_table
+from redpair.fundseries import _candidate_ktypes, inducing_module, ktype_table, series_parabolic
 from redpair.genericity import norm2_shifted
 from redpair.parabolic import compatible_parabolic
 from redpair.reductive import (
@@ -22,7 +21,7 @@ from redpair.weights import vec
 
 def cli_chamber(p):
     """Inducing data for nu = 0 with the chamber resolved as the CLI does."""
-    return _series_inputs(p, {"nu": [Fraction(0)] * p.g.rank})
+    return series_parabolic(p, (Fraction(0),) * p.g.rank)
 
 
 def principal(lie, nu):

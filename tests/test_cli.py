@@ -235,6 +235,14 @@ def test_exit_code_missing_config(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_not_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("lie_type = A2\n# caf\u00e9\n".encode("latin-1"))
+    code, _, err = run_main(capsys, ["pair-info", "--config", str(path)])
+    assert code == 2
+    assert "parse error" in err and "UTF-8" in err
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
     # non-integral mu for the rank-one subalgebra
     cfg = write_config(tmp_path, """
@@ -278,6 +286,21 @@ max_weyl = 1
                                       "--emit", "machine"])
     assert code2 == 0
     assert json.loads(out)["genericity"]["holds"] is True
+
+
+@pytest.mark.parametrize("source", ["flag", "key"])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_is_parse_error(tmp_path, capsys, source, cap):
+    text = "lie_type = A2\nk = sl2\nlabels = [2, 2]\ncommand = pair-info\n"
+    argv = ["--config"]
+    if source == "key":
+        text += f"max_weyl = {cap}\n"
+    else:
+        argv = ["--max-weyl", str(cap), "--config"]
+    code, out, err = run_main(capsys, argv + [write_config(tmp_path, text)])
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err and "at least 1" in err
 
 
 @pytest.mark.parametrize("token", ["1e1", "1_0", "+-1", "1/2/3", "0x10"])

@@ -7,7 +7,6 @@ import pytest
 from redpair.genericity import (
     _Condition2Search,
     is_generic,
-    iter_submultisets,
     minimal_ktype,
     norm2_shifted,
     sl2_threshold,
@@ -16,6 +15,7 @@ from redpair.parabolic import is_regular, split_roots
 from redpair.reductive import make_cartan_pair, make_levi_pair, make_sl2_pair
 from redpair.rootsystem import build_root_system
 from redpair.weights import WeightMultiset, add, scale, sub, vec
+from submultiset_oracle import iter_submultisets
 
 
 def brute_force_generic(p, mu):

@@ -8,8 +8,6 @@ from redpair.reductive import (
     make_explicit_pair,
     make_levi_pair,
     make_sl2_pair,
-    restrict,
-    t_pair,
 )
 from redpair.rootsystem import build_root_system
 from redpair.weights import neg, vec, zero
@@ -30,13 +28,13 @@ def test_sl2_principal_a2(a2):
     assert p.rank_t == 1
     assert p.delta_t == frozenset({vec(2), vec(4), vec(-2), vec(-4)})
     assert p.rho == vec(1)
-    assert restrict(p, vec(1, 1)) == vec(4)
-    assert restrict(p, zero(2)) == zero(1)
+    assert p.restrict(vec(1, 1)) == vec(4)
+    assert p.restrict(zero(2)) == zero(1)
 
 
 def test_sl2_principal_b2_restrictions(b2):
     p = make_sl2_pair(b2, [2, 2])
-    values = sorted(restrict(p, r)[0] for r in b2.positive_roots)
+    values = sorted(p.restrict(r)[0] for r in b2.positive_roots)
     assert values == [2, 2, 4, 6]
 
 
@@ -44,7 +42,7 @@ def test_sl2_identity_embedding():
     a1 = build_root_system("A1")
     p = make_sl2_pair(a1, [2])
     assert p.delta_t == frozenset({vec(2), vec(-2)})
-    assert restrict(p, a1.simple_roots[0]) == vec(2)
+    assert p.restrict(a1.simple_roots[0]) == vec(2)
 
 
 def test_sl2_label_validation(a2):
@@ -64,8 +62,8 @@ def test_sl2_induced_form(a2, b2):
 
 def test_sl2_t_pair_scaling(a2):
     p = make_sl2_pair(a2, [2, 2])
-    assert t_pair(p, p.rho, vec(2)) / t_pair(p, p.rho, p.rho) == 2
-    assert t_pair(p, vec(5), zero(1)) == 0
+    assert p.t_pair(p.rho, vec(2)) / p.t_pair(p.rho, p.rho) == 2
+    assert p.t_pair(vec(5), zero(1)) == 0
 
 
 def test_restriction_lift_is_identity():
@@ -81,7 +79,7 @@ def test_restriction_lift_is_identity():
 def test_restricted_roots_land_in_delta_t(a2):
     p = make_sl2_pair(a2, [2, 0])
     for r in a2.positive_roots:
-        image = restrict(p, r)
+        image = p.restrict(r)
         assert image in p.delta_t or image == zero(1)
         assert neg(image) in p.delta_t or image == zero(1)
 
@@ -92,7 +90,7 @@ def test_cartan_pair(a2):
     assert len(p.delta_t) == 6
     assert p.rho == zero(2)
     assert p.k_positive_roots == ()
-    assert restrict(p, vec(1, 1)) == vec(1, 1)
+    assert p.restrict(vec(1, 1)) == vec(1, 1)
     # induced form coincides with the ambient form
     assert p.t_gram == a2.gram
 
@@ -129,7 +127,7 @@ def test_levi_and_cartan_forms_match_ambient(a2):
     for p in (make_cartan_pair(a2), make_levi_pair(a2, {1})):
         for x in (vec(1, 0), vec("1/2", 3), vec(-1, 2)):
             for y in (vec(0, 1), vec(2, 2)):
-                assert t_pair(p, x, y) == a2.pair(x, y)
+                assert p.t_pair(x, y) == a2.pair(x, y)
 
 
 def test_rho_is_dominant_for_k(a2, b2):
@@ -201,9 +199,9 @@ def test_dominance_checks(a2):
 def test_dimension_mismatch_errors(a2):
     p = make_sl2_pair(a2, [2, 2])
     with pytest.raises(ValueError):
-        restrict(p, vec(1))
+        p.restrict(vec(1))
     with pytest.raises(ValueError):
-        t_pair(p, vec(1, 2), vec(1))
+        p.t_pair(vec(1, 2), vec(1))
 
 
 def test_induced_form_positive_definite(a2, b2):
