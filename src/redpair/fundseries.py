@@ -8,7 +8,10 @@ off the Weyl orbit of the strictly dominant delta + rho, so no group is
 built), the symmetric algebra on n cap k-perp (a vector partition
 function), and the inducing module, which for a minimal parabolic
 enters only through its dimension and the scalar by which the small
-Cartan acts.  Grouping the terms by degree i gives
+Cartan acts.  The partition function counts in integer coordinates,
+scaled by the least common denominator D of its generators' coordinates;
+a target that is not integral after scaling by D counts 0.  Grouping
+the terms by degree i gives
 
     kostant_terms[i] = dim E * sum_{len(w) = i} count(w(delta+rho) - rho - mu)
 
@@ -24,14 +27,16 @@ inducing weight, is resolved by ``series_parabolic``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .genericity import norm2_shifted
+from .linalg import mat_vec, transpose
 from .parabolic import CompatibleParabolic, compatible_parabolic
 from .reductive import ReductivePair
 from .rootsystem import RootSystem, fold_dominant, reflection_orbit, weyl_dim_from_roots
-from .weights import Weight, WeightMultiset, add, is_zero, scale, sub, zero
+from .weights import Weight, WeightMultiset, add, scale, sub, zero
 
 
 @dataclass(frozen=True)
@@ -114,48 +119,79 @@ class PartitionCounter:
     prod (1 - e^beta)^(-mult beta)).  Every generator must pair
     strictly positively with the grading weight, which makes the
     memoized recursion terminate.
+
+    Counting runs in integer coordinates.  The generators are scaled by
+    the least common denominator D of their coordinates, the level
+    functional ell = t_gram . grading by its own denominator, and each
+    generator carries its integer level step.  A target is scaled by D
+    on entry; one that is then not integral is off the lattice of every
+    N-combination and counts 0.
     """
 
     def __init__(self, p: ReductivePair, generators: WeightMultiset,
                  grading: Weight):
-        self.p = p
-        self.grading = grading
-        self.support = sorted(generators.support(),
-                              key=lambda b: (-p.t_pair(grading, b), b))
-        self.mults = [generators.entries[b] for b in self.support]
-        for b in self.support:
-            if p.t_pair(grading, b) <= 0:
+        self.rank = p.rank_t
+        if generators.rank != self.rank:
+            raise ValueError(f"expected generators of rank {self.rank}, "
+                             f"got rank {generators.rank}")
+        self._check_rank(grading)
+        ell = mat_vec(transpose(p.t_gram), grading)     # ell . y = t_pair(grading, y)
+        self._ell = _integral(ell, math.lcm(*(c.denominator for c in ell)))
+        support = generators.support()
+        self._scale = math.lcm(*(c.denominator for b in support for c in b))
+        self._generators: list[tuple[tuple[int, ...], int, int]] = []
+        for b in support:
+            beta = _integral(b, self._scale)
+            step = self._level(beta)
+            if step <= 0:
                 raise ValueError(
                     f"generator {b} does not pair strictly positively with "
                     f"the grading weight {grading}"
                 )
-        self._memo: dict[tuple[Weight, int], int] = {}
+            self._generators.append((beta, step, generators.entries[b]))
+        # largest step first; the sort is stable, so ties keep weight order
+        self._generators.sort(key=lambda g: -g[1])
+        self._memo: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def _check_rank(self, x: Weight) -> None:
+        if len(x) != self.rank:
+            raise ValueError(f"expected a weight of rank {self.rank}, got length {len(x)}")
+
+    def _level(self, x: tuple[int, ...]) -> int:
+        return sum(a * b for a, b in zip(self._ell, x))
 
     def count(self, target: Weight) -> int:
-        return self._count(target, 0)
+        self._check_rank(target)
+        scaled = [c * self._scale for c in target]
+        if any(c.denominator != 1 for c in scaled):
+            return 0
+        x = tuple(c.numerator for c in scaled)
+        return self._count(x, self._level(x), 0)
 
-    def _count(self, target: Weight, i: int) -> int:
-        level = self.p.t_pair(self.grading, target)
-        if level < 0:
+    def _count(self, x: tuple[int, ...], level: int, i: int) -> int:
+        if level <= 0:
+            return 1 if level == 0 and not any(x) else 0
+        if i == len(self._generators):
             return 0
-        if level == 0:
-            return 1 if is_zero(target) else 0
-        if i == len(self.support):
-            return 0
-        key = (target, i)
+        key = (x, i)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        beta, mult = self.support[i], self.mults[i]
+        beta, step, mult = self._generators[i]
         total = 0
         j = 0
-        probe = target
-        while self.p.t_pair(self.grading, probe) >= 0:
-            total += math.comb(j + mult - 1, mult - 1) * self._count(probe, i + 1)
-            probe = sub(probe, beta)
+        while level >= 0:
+            total += math.comb(j + mult - 1, mult - 1) * self._count(x, level, i + 1)
+            x = tuple(map(operator.sub, x, beta))
+            level -= step
             j += 1
         self._memo[key] = total
         return total
+
+
+def _integral(x: Weight, scale: int) -> tuple[int, ...]:
+    """The coordinates of scale * x, which must be integers."""
+    return tuple((c * scale).numerator for c in x)
 
 
 def partition_count(p: ReductivePair, generators: WeightMultiset,
