@@ -26,7 +26,7 @@ from .genericity import (
     norm2_shifted,
     sl2_threshold,
 )
-from .parabolic import CompatibleParabolic, RootSplit, compatible_parabolic, is_regular, split_roots
+from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular, split_roots
 from .reductive import (
     ReductivePair,
     make_cartan_pair,
@@ -56,7 +56,6 @@ __all__ = [
     "MultiplicityTable",
     "PartitionCounter",
     "ReductivePair",
-    "RootSplit",
     "RootSystem",
     "Weight",
     "WeightMultiset",

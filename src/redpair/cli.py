@@ -3,9 +3,10 @@
 A job is described by a flat UTF-8 config file of ``key = value`` lines
 (values: bare words, exact rationals ``[+-]?[0-9]+(/[0-9]+)?`` with a
 nonzero denominator, like ``5`` or ``3/2``, and bracketed arrays, nested
-once for matrices; decimals, exponents and underscores are rejected so
-that exactness survives the I/O boundary).  The command verb comes from the
-command line or from a ``command`` key in the config.
+once for matrices and refused deeper; decimals, exponents and
+underscores are rejected so that exactness survives the I/O boundary).
+The command verb comes from the command line or from a ``command`` key
+in the config.
 
 Verbs: pair-info, parabolic, generic-check, sl2-threshold, fundseries,
 verify.  Output is a human-readable report, a machine-readable JSON
@@ -77,14 +78,18 @@ def _parse_scalar(token: str):
     return token
 
 
-def _parse_value(text: str):
+def _parse_value(text: str, key: str, depth: int = 2):
+    """A scalar, or an array nested at most depth levels deep."""
     text = text.strip()
     if not text.startswith("["):
         return _parse_scalar(text)
+    if depth == 0:
+        raise ConfigError(f"config key {key!r} nests arrays more than two "
+                          f"levels deep")
     if not text.endswith("]"):
         raise ConfigError(f"unterminated array: {text!r}")
     body = text[1:-1]
-    # split at top-level commas only (arrays nest one level for matrices)
+    # split at top-level commas only
     parts, level, current = [], 0, []
     for ch in body:
         if ch == "[":
@@ -108,7 +113,7 @@ def _parse_value(text: str):
         part = part.strip()
         if not part:
             raise ConfigError(f"empty array element in {text!r}")
-        items.append(_parse_value(part))
+        items.append(_parse_value(part, key, depth - 1))
     return items
 
 
@@ -126,7 +131,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: empty key")
         if key in job:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        job[key] = _parse_value(value)
+        job[key] = _parse_value(value, key)
     return job
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .genericity import norm2_shifted
 from .linalg import mat_vec, transpose
-from .parabolic import CompatibleParabolic, compatible_parabolic
+from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular
 from .reductive import ReductivePair
 from .rootsystem import RootSystem, fold_dominant, reflection_orbit, weyl_dim_from_roots
 from .weights import Weight, WeightMultiset, add, scale, sub, zero
@@ -92,12 +92,12 @@ def series_parabolic(p: ReductivePair, nu: Weight,
     if lam is None:
         lam = p.restrict(p.g.rho_tilde)
     for _ in range(p.g.rank + 3):
-        parab = compatible_parabolic(p, lam)
-        if not parab.minimal:
+        if not is_regular(p, lam):
             raise ValueError(
                 f"the chamber weight {lam} is irregular; give a regular "
                 f"'lambda' in the config"
             )
+        parab = compatible_parabolic(p, lam)
         mu = add(omega, scale(2, parab.rho_n_perp))
         lam_next = add(mu, scale(2, p.rho))
         parab_next = compatible_parabolic(p, lam_next)

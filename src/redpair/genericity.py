@@ -15,7 +15,10 @@ Condition (2) is a search over exponentially many submultisets; the
 search here is a depth-first scan over multiplicity vectors, ordered by
 decreasing pairing with mu + 2 rho, with an exact interval bound that
 prunes any branch all of whose completions provably keep the quadratic
-positive.  The tests keep an exhaustive enumerator as its oracle.
+positive.  One such search answers both questions: whether a violation
+exists, and, held to one exact size at a time for sizes 1, 2, ..., the
+smallest failing submultiset reported as the witness.  The tests keep an
+exhaustive enumerator and the unpruned size-by-size scan as its oracles.
 """
 
 from __future__ import annotations
@@ -78,22 +81,50 @@ class _Condition2Search:
 
     def find_violation(self) -> bool:
         """True iff some nonempty submultiset S has t_pair(c - rho_S, rho_S) <= 0."""
+        return self._first_violation() is not None
+
+    def minimal_witness(self) -> tuple[WeightMultiset, Weight]:
+        """Smallest-size failing submultiset, first in canonical branch order.
+
+        The same pruned search as find_violation, held to one exact size
+        at a time for sizes 1, 2, ...
+        """
+        for size in range(1, sum(self.mults) + 1):
+            counts = self._first_violation(size)
+            if counts is not None:
+                ms = WeightMultiset(
+                    {b: n for b, n in zip(self.weights, counts) if n},
+                    rank=self.p.rank_t,
+                )
+                return ms, ms.half_sum()
+        raise AssertionError("minimal_witness called without a violation")
+
+    def _first_violation(self, size: int | None = None) -> list[int] | None:
+        """Multiplicity vector of the first failing nonempty submultiset in
+        branch order (the count at each index going 0, 1, 2, ...), of
+        exactly size copies when size is given; None when there is none."""
         k = len(self.weights)
         counts = [0] * k
         dots = [Fraction(0)] * k   # t_pair(rho_S, beta_j)
         cs = Fraction(0)           # t_pair(c, rho_S)
         ss = Fraction(0)           # t_pair(rho_S, rho_S)
+        placed = 0                 # copies in S
+        remaining = [0] * (k + 1)  # copies available at indices i..k-1
+        for i in range(k - 1, -1, -1):
+            remaining[i] = remaining[i + 1] + self.mults[i]
 
         def add_copy(i: int) -> None:
-            nonlocal cs, ss
+            nonlocal cs, ss, placed
             cs += self.cvals[i] / 2
             ss += dots[i] + self.pairs[i][i] / 4
             for j in range(k):
                 dots[j] += self.pairs[i][j] / 2
             counts[i] += 1
+            placed += 1
 
         def drop_copy(i: int) -> None:
-            nonlocal cs, ss
+            nonlocal cs, ss, placed
+            placed -= 1
             counts[i] -= 1
             for j in range(k):
                 dots[j] -= self.pairs[i][j] / 2
@@ -101,8 +132,12 @@ class _Condition2Search:
             cs -= self.cvals[i] / 2
 
         def rec(i: int) -> bool:
-            if i == k:
-                return sum(counts) > 0 and cs - ss <= 0
+            if placed == size or (size is None and i == k):
+                return placed > 0 and cs - ss <= 0
+            # Too few copies left to reach the size; this also ends every
+            # branch at i == k, where nothing remains.
+            if size is not None and remaining[i] < size - placed:
+                return False
             # Interval bound: over every completion q of the current
             # partial sum, f is at least f(partial) + min <c - 2 rho, q>
             # - max |q|^2, all three pieces exact rationals.
@@ -115,7 +150,8 @@ class _Condition2Search:
                 return False
             if rec(i + 1):
                 return True
-            for _ in range(self.mults[i]):
+            top = self.mults[i] if size is None else min(self.mults[i], size - placed)
+            for _ in range(top):
                 add_copy(i)
                 if rec(i + 1):
                     return True
@@ -123,45 +159,7 @@ class _Condition2Search:
                 drop_copy(i)
             return False
 
-        return rec(0)
-
-    def minimal_witness(self) -> tuple[WeightMultiset, Weight]:
-        """Smallest-size failing submultiset, first in canonical branch order."""
-        for size in range(1, sum(self.mults) + 1):
-            found = self._witness_of_size(size)
-            if found is not None:
-                return found
-        raise AssertionError("minimal_witness called without a violation")
-
-    def _witness_of_size(self, size: int):
-        k = len(self.weights)
-        counts = [0] * k
-        remaining = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            remaining[i] = remaining[i + 1] + self.mults[i]
-
-        def rec(i: int, need: int):
-            if need == 0:
-                ms = WeightMultiset(
-                    {self.weights[j]: counts[j] for j in range(k) if counts[j]},
-                    rank=self.p.rank_t,
-                )
-                rho_s = ms.half_sum()
-                diff = sub(self.c, rho_s)
-                if self.p.t_pair(diff, rho_s) <= 0:
-                    return ms, rho_s
-                return None
-            if i == k or remaining[i] < need:
-                return None
-            for n in range(min(self.mults[i], need) + 1):
-                counts[i] = n
-                result = rec(i + 1, need - n)
-                if result is not None:
-                    return result
-            counts[i] = 0
-            return None
-
-        return rec(0, size)
+        return counts if rec(0) else None
 
 
 @dataclass(frozen=True)
@@ -189,18 +187,19 @@ def is_generic(p: ReductivePair, mu: Weight) -> GenericityReport:
             "mu + 2 rho is irregular: it pairs to zero with a restricted root, "
             "so no minimal parabolic is attached to it"
         )
-    split = split_roots(p, lam)
+    _, _, ch_t_n = split_roots(p, lam)
+    rho_n = ch_t_n.half_sum()
 
     condition1_ok = True
     witness_root = None
-    shifted = sub(lam, split.rho_n)
+    shifted = sub(lam, rho_n)
     for alpha in p.k_positive_multiset().support():
         if p.t_pair(shifted, alpha) < 0:
             condition1_ok = False
             witness_root = alpha
             break
 
-    search = _Condition2Search(p, lam, split.ch_t_n)
+    search = _Condition2Search(p, lam, ch_t_n)
     witness_submultiset = None
     witness_rho_s = None
     condition2_ok = not search.find_violation()
@@ -215,7 +214,7 @@ def is_generic(p: ReductivePair, mu: Weight) -> GenericityReport:
         witness_submultiset=witness_submultiset,
         witness_rho_s=witness_rho_s,
         lam=lam,
-        rho_n=split.rho_n,
+        rho_n=rho_n,
     )
 
 

@@ -26,29 +26,14 @@ def is_regular(p: ReductivePair, lam: Weight) -> bool:
     return all(p.t_pair(lam, sigma) != 0 for sigma in p.delta_t)
 
 
-@dataclass(frozen=True)
-class RootSplit:
-    """Sign decomposition of the ambient roots against a grading weight."""
+def split_roots(
+    p: ReductivePair, lam: Weight,
+) -> tuple[tuple[Weight, ...], tuple[Weight, ...], WeightMultiset]:
+    """Partition all ambient roots by the sign of their pairing with lam.
 
-    lam: Weight
-    n_roots: tuple[Weight, ...]        # ambient roots with positive pairing
-    m_roots: tuple[Weight, ...]        # ambient roots with zero pairing
-    ch_t_n: WeightMultiset
-    rho_n: Weight
-    minimal: bool
-
-    def m_positive_roots(self) -> tuple[Weight, ...]:
-        """The reductive part's positivity, fixed by ambient positivity on ties."""
-        positive = set()
-        for root in self.m_roots:
-            if root in positive or tuple(-c for c in root) in positive:
-                continue
-            positive.add(root)
-        return tuple(sorted(positive))
-
-
-def split_roots(p: ReductivePair, lam: Weight) -> RootSplit:
-    """Partition all ambient roots by the sign of their pairing with lam."""
+    Returns (n_roots, m_roots, ch_t_n): the roots pairing positively,
+    the roots pairing to zero, and the small-side character of n.
+    """
     if len(lam) != p.rank_t:
         raise ValueError(f"grading weight must have rank {p.rank_t}")
     n_roots: list[Weight] = []
@@ -64,22 +49,14 @@ def split_roots(p: ReductivePair, lam: Weight) -> RootSplit:
             elif value == 0 and signed == root:
                 m_roots.append(root)
                 m_roots.append(tuple(-c for c in root))
-    ch_t_n = WeightMultiset(ch, rank=p.rank_t)
-    return RootSplit(
-        lam=lam,
-        n_roots=tuple(n_roots),
-        m_roots=tuple(m_roots),
-        ch_t_n=ch_t_n,
-        rho_n=ch_t_n.half_sum(),
-        minimal=is_regular(p, lam),
-    )
+    return tuple(n_roots), tuple(m_roots), WeightMultiset(ch, rank=p.rank_t)
 
 
 @dataclass(frozen=True)
 class CompatibleParabolic:
     lam: Weight
-    n_roots: tuple[Weight, ...]
-    m_roots: tuple[Weight, ...]
+    n_roots: tuple[Weight, ...]        # ambient roots with positive pairing
+    m_roots: tuple[Weight, ...]        # ambient roots with zero pairing
     ch_t_n: WeightMultiset
     ch_t_n_cap_k: WeightMultiset
     ch_t_n_cap_kperp: WeightMultiset
@@ -90,6 +67,7 @@ class CompatibleParabolic:
     minimal: bool
 
     def m_positive_roots(self) -> tuple[Weight, ...]:
+        """The reductive part's positivity, fixed by ambient positivity on ties."""
         positive = set()
         for root in self.m_roots:
             if root in positive or tuple(-c for c in root) in positive:
@@ -106,26 +84,26 @@ def compatible_parabolic(p: ReductivePair, lam: Weight) -> CompatibleParabolic:
     b_k-dominant and the embedding data is consistent.  Irregular lam is
     allowed and simply reports minimal=False.
     """
-    split = split_roots(p, lam)
+    n_roots, m_roots, ch_t_n = split_roots(p, lam)
     cap_k = p.k_positive_multiset()
-    excess = split.ch_t_n.first_excess(cap_k)
+    excess = ch_t_n.first_excess(cap_k)
     if excess is not None:
         raise ValueError(
             f"the k-positive multiset does not embed in the character of n: "
             f"weight {excess} is missing; the embedding data is inconsistent "
             f"or lam is not b_k-dominant"
         )
-    cap_kperp = split.ch_t_n.minus(cap_k)
+    cap_kperp = ch_t_n.minus(cap_k)
     return CompatibleParabolic(
-        lam=split.lam,
-        n_roots=split.n_roots,
-        m_roots=split.m_roots,
-        ch_t_n=split.ch_t_n,
+        lam=lam,
+        n_roots=n_roots,
+        m_roots=m_roots,
+        ch_t_n=ch_t_n,
         ch_t_n_cap_k=cap_k,
         ch_t_n_cap_kperp=cap_kperp,
-        rho_n=split.rho_n,
+        rho_n=ch_t_n.half_sum(),
         rho_n_perp=cap_kperp.half_sum(),
         s=cap_k.size(),
         r=cap_kperp.size(),
-        minimal=split.minimal,
+        minimal=is_regular(p, lam),
     )

@@ -47,12 +47,12 @@ def conditions_brute_force(p, m):
     """Conditions (1) and (2) by full enumeration of submultisets."""
     mu = vec(m)
     lam = add(mu, scale(2, p.rho))
-    split = split_roots(p, lam)
-    shifted = sub(lam, split.rho_n)
+    _, _, ch_t_n = split_roots(p, lam)
+    shifted = sub(lam, ch_t_n.half_sum())
     if any(p.t_pair(shifted, alpha) < 0
            for alpha in p.k_positive_multiset().support()):
         return False
-    for entries in iter_submultisets(split.ch_t_n):
+    for entries in iter_submultisets(ch_t_n):
         rho_s = WeightMultiset(entries, rank=1).half_sum()
         if p.t_pair(sub(lam, rho_s), rho_s) <= 0:
             return False
@@ -96,7 +96,7 @@ def test_criterion_3_closed_form_cross_check():
     start = time.perf_counter()
     pairs_checked = 0
     for name, labels, p in all_sl2_pairs():
-        assert split_roots(p, vec(1)).ch_t_n.size() <= 20   # desk-scale cap
+        assert split_roots(p, vec(1))[2].size() <= 20   # desk-scale cap
         threshold = sl2_threshold(p)
         rho_n_value = sum(abs(p.restrict(r)[0]) for r in p.g.positive_roots) / 2
         if rho_n_value.denominator == 1:
@@ -155,10 +155,10 @@ def test_criterion_5_partition_oracle():
     seen = set()
     multisets = []
     for _, _, p in all_sl2_pairs():
-        split = split_roots(p, vec(1))
-        for ms in (split.ch_t_n,
-                   split.ch_t_n.minus(p.k_positive_multiset())
-                   if split.ch_t_n.contains(p.k_positive_multiset()) else None):
+        _, _, ch_t_n = split_roots(p, vec(1))
+        for ms in (ch_t_n,
+                   ch_t_n.minus(p.k_positive_multiset())
+                   if ch_t_n.contains(p.k_positive_multiset()) else None):
             if ms is None or not len(ms):
                 continue
             key = tuple(sorted((w[0], m) for w, m in ms.items()))

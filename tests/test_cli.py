@@ -355,6 +355,25 @@ def test_array_key_shape_is_parse_error(tmp_path, capsys, key, body):
     assert out == ""
 
 
+@pytest.mark.parametrize("depth", [3, 3000])
+def test_deep_array_nesting_is_parse_error(tmp_path, capsys, depth):
+    body = "[" * depth + "2" + "]" * depth
+    cfg = write_config(tmp_path, f"lie_type = A2\nk = sl2\nlabels = {body}\n")
+    code, out, err = run_main(capsys, ["pair-info", "--config", cfg])
+    assert code == 2
+    assert "parse error: config key 'labels' nests arrays" in err
+    assert out == ""
+
+
+def test_irregular_chamber_weight_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, A2_FUNDSERIES + "lambda = 0\n")
+    code, out, err = run_main(capsys, ["--config", cfg])
+    assert code == 3
+    assert err.startswith("validation error: the chamber weight")
+    assert "is irregular" in err
+    assert out == ""
+
+
 def test_command_conflict_is_parse_error(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 lie_type = A2

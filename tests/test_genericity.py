@@ -22,12 +22,12 @@ def brute_force_generic(p, mu):
     """Conditions (1) and (2) by direct enumeration, no pruning, no reuse
     of the library's search."""
     lam = add(mu, scale(2, p.rho))
-    split = split_roots(p, lam)
-    shifted = sub(lam, split.rho_n)
+    _, _, ch_t_n = split_roots(p, lam)
+    shifted = sub(lam, ch_t_n.half_sum())
     cond1 = all(p.t_pair(shifted, alpha) >= 0
                 for alpha in p.k_positive_multiset().support())
     cond2 = True
-    for entries in iter_submultisets(split.ch_t_n):
+    for entries in iter_submultisets(ch_t_n):
         rho_s = WeightMultiset(entries, rank=p.rank_t).half_sum()
         if p.t_pair(sub(lam, rho_s), rho_s) <= 0:
             cond2 = False
@@ -231,13 +231,13 @@ def test_minimal_witness_has_minimal_size():
     p = make_sl2_pair(build_root_system("B2"), [2, 2])
     mu = vec(3)
     lam = add(mu, scale(2, p.rho))
-    split = split_roots(p, lam)
-    search = _Condition2Search(p, lam, split.ch_t_n)
+    _, _, ch_t_n = split_roots(p, lam)
+    search = _Condition2Search(p, lam, ch_t_n)
     assert search.find_violation()
     witness, rho_s = search.minimal_witness()
     assert p.t_pair(sub(lam, rho_s), rho_s) <= 0
     sizes = []
-    for entries in iter_submultisets(split.ch_t_n):
+    for entries in iter_submultisets(ch_t_n):
         ms = WeightMultiset(entries, rank=1)
         r = ms.half_sum()
         if p.t_pair(sub(lam, r), r) <= 0:
