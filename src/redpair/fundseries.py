@@ -36,7 +36,7 @@ from .linalg import mat_vec, transpose
 from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular
 from .reductive import ReductivePair
 from .rootsystem import RootSystem, fold_dominant, reflection_orbit, weyl_dim_from_roots
-from .weights import Weight, WeightMultiset, add, scale, sub, zero
+from .weights import Weight, WeightMultiset, add, fmt, scale, sub, zero
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def inducing_module(p: ReductivePair, parab: CompatibleParabolic,
         if c.denominator != 1 or c < 0:
             raise ValueError(
                 f"nu is not dominant integral for the reductive part: "
-                f"coroot pairing {c} at {gamma}"
+                f"coroot pairing {c} at {fmt(gamma)}"
             )
     dim_e = weyl_dim_from_roots(list(m_positive), p.g.pair, nu)
     omega = p.restrict(nu)
@@ -94,7 +94,7 @@ def series_parabolic(p: ReductivePair, nu: Weight,
     for _ in range(p.g.rank + 3):
         if not is_regular(p, lam):
             raise ValueError(
-                f"the chamber weight {lam} is irregular; give a regular "
+                f"the chamber weight {fmt(lam)} is irregular; give a regular "
                 f"'lambda' in the config"
             )
         parab = compatible_parabolic(p, lam)
@@ -145,8 +145,8 @@ class PartitionCounter:
             step = self._level(beta)
             if step <= 0:
                 raise ValueError(
-                    f"generator {b} does not pair strictly positively with "
-                    f"the grading weight {grading}"
+                    f"generator {fmt(b)} does not pair strictly positively with "
+                    f"the grading weight {fmt(grading)}"
                 )
             self._generators.append((beta, step, generators.entries[b]))
         # largest step first; the sort is stable, so ties keep weight order

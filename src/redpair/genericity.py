@@ -11,25 +11,46 @@ where n is the nilradical attached to the grading weight mu + 2 rho.
 The empty submultiset would make (2) unsatisfiable (its half-sum is
 zero), so the quantifier deliberately runs over nonempty S only.
 
-Condition (2) is a search over exponentially many submultisets; the
-search here is a depth-first scan over multiplicity vectors, ordered by
-decreasing pairing with mu + 2 rho, with an exact interval bound that
-prunes any branch all of whose completions provably keep the quadratic
-positive.  One such search answers both questions: whether a violation
-exists, and, held to one exact size at a time for sizes 1, 2, ..., the
-smallest failing submultiset reported as the witness.  The tests keep an
-exhaustive enumerator and the unpruned size-by-size scan as its oracles.
+Condition (2) is the genericity condition of Penkov and Zuckerman,
+"Generalized Harish-Chandra modules with generic minimal k-type", Asian
+J. Math. 8 (2004).  It quantifies over exponentially many submultisets.
+
+In rank one it is a single comparison.  Write lam = mu + 2 rho and
+t_pair(x, y) = g x y with g > 0.  Every weight b of ch_t n pairs
+strictly positively with lam, so every b has the sign of lam, and so
+does s = rho_S for every nonempty S.  Then t_pair(lam - s, s) =
+g s (lam - s) is <= 0 exactly when |s| >= |lam|.  Adding a copy to S
+only increases |s|, so |s| is largest at S = ch_t n: condition (2)
+holds iff t_pair(lam - rho_n, rho_n) > 0, and holds vacuously when
+ch_t n is empty.  The witness needs no search either.  S fails iff the
+absolute values of its copies sum to at least 2|lam|, so the smallest
+failing size N is the least N whose N largest copies reach 2|lam|.
+Among count vectors of size N, the first in branch order (weights by
+decreasing |b|, the count at each index going 0, 1, 2, ...) is built
+greedily, index by index: the smallest count that still leaves a
+completion reaching 2|lam|, where the best completion takes the largest
+remaining copies first.
+
+In higher rank the search is a depth-first scan over multiplicity
+vectors, ordered by decreasing pairing with lam, with an exact interval
+bound that prunes any branch all of whose completions provably keep the
+quadratic positive.  One such search answers both questions: whether a
+violation exists, and, held to one exact size at a time for sizes
+1, 2, ..., the smallest failing submultiset reported as the witness.
+The tests keep an exhaustive enumerator and the unpruned size-by-size
+scan as oracles of both paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .parabolic import is_regular, split_roots
 from .reductive import ReductivePair
-from .weights import Weight, WeightMultiset, add, scale, sub
+from .weights import Weight, WeightMultiset, add, fmt, scale, sub
 
 
 def norm2_shifted(p: ReductivePair, mu: Weight) -> Fraction:
@@ -49,12 +70,17 @@ def minimal_ktype(p: ReductivePair, candidates: list[Weight]) -> Weight:
     for mu in candidates:
         defect = p.dominance_defect(mu)
         if defect is not None:
-            raise ValueError(f"candidate {mu} is not dominant integral: {defect}")
+            raise ValueError(f"candidate {fmt(mu)} is not dominant integral: {defect}")
     return min(candidates, key=lambda mu: (norm2_shifted(p, mu), mu))
 
 
 class _Condition2Search:
-    """Shared state for the pruned scan over submultisets of ch_t n."""
+    """Shared state for the scan over submultisets of ch_t n.
+
+    Every weight of ch_t n pairs strictly positively with the grading
+    weight c.  Rank one is answered in closed form; higher rank runs the
+    pruned depth-first scan.
+    """
 
     def __init__(self, p: ReductivePair, c: Weight, ms: WeightMultiset):
         self.p = p
@@ -63,46 +89,97 @@ class _Condition2Search:
         self.weights = sorted(ms.support(),
                               key=lambda b: (-p.t_pair(c, b), b))
         self.mults = [ms.entries[b] for b in self.weights]
-        k = len(self.weights)
-        self.cvals = [p.t_pair(c, b) for b in self.weights]
-        self.pairs = [[p.t_pair(a, b) for b in self.weights] for a in self.weights]
-        # Per-suffix bound on the achievable squared length of any completion:
-        # q2[i] >= |q|^2 for every q built from weights i..k-1.
-        self.q2 = [Fraction(0)] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            total = self.q2[i + 1]
-            for a in range(i, k):
-                for b in range(i, k):
-                    if a == i or b == i:
-                        v = self.pairs[a][b]
-                        if v > 0:
-                            total += Fraction(self.mults[a] * self.mults[b]) * v / 4
-            self.q2[i] = total
 
     def find_violation(self) -> bool:
         """True iff some nonempty submultiset S has t_pair(c - rho_S, rho_S) <= 0."""
+        if self.p.rank_t == 1:
+            if not self.weights:
+                return False
+            rho_n = WeightMultiset(zip(self.weights, self.mults)).half_sum()
+            return self.p.t_pair(sub(self.c, rho_n), rho_n) <= 0
         return self._first_violation() is not None
 
     def minimal_witness(self) -> tuple[WeightMultiset, Weight]:
         """Smallest-size failing submultiset, first in canonical branch order.
 
-        The same pruned search as find_violation, held to one exact size
-        at a time for sizes 1, 2, ...
+        Rank one builds it greedily; higher rank runs the pruned search
+        of find_violation, held to one exact size at a time for sizes
+        1, 2, ...
         """
-        for size in range(1, sum(self.mults) + 1):
-            counts = self._first_violation(size)
-            if counts is not None:
-                ms = WeightMultiset(
-                    {b: n for b, n in zip(self.weights, counts) if n},
-                    rank=self.p.rank_t,
-                )
-                return ms, ms.half_sum()
-        raise AssertionError("minimal_witness called without a violation")
+        if self.p.rank_t == 1:
+            counts = self._rank_one_witness()
+        else:
+            counts = None
+            for size in range(1, sum(self.mults) + 1):
+                counts = self._first_violation(size)
+                if counts is not None:
+                    break
+        if counts is None:
+            raise AssertionError("minimal_witness called without a violation")
+        ms = WeightMultiset(
+            {b: n for b, n in zip(self.weights, counts) if n},
+            rank=self.p.rank_t,
+        )
+        return ms, ms.half_sum()
+
+    def _rank_one_witness(self) -> list[int] | None:
+        """Multiplicity vector of the rank-one witness, None when there is
+        no violation: S fails iff |2 rho_S| >= |2 c|, and the weights are
+        sorted by decreasing absolute value.  The sums are scaled to int."""
+        denom = math.lcm(self.c[0].denominator,
+                         *(b[0].denominator for b in self.weights))
+        goal = int(2 * abs(self.c[0]) * denom)
+        sizes = [int(abs(b[0]) * denom) for b in self.weights]
+        # prefix[j]: sum of the j largest copies; start[i]: copies before index i
+        prefix = [0]
+        start = [0]
+        for a, m in zip(sizes, self.mults):
+            for _ in range(m):
+                prefix.append(prefix[-1] + a)
+            start.append(start[-1] + m)
+        size = next((n for n in range(1, len(prefix)) if prefix[n] >= goal), None)
+        if size is None:
+            return None
+        # Lexicographically first counts of that size: at each index the
+        # smallest count whose largest-first completion still reaches the goal.
+        counts = []
+        reached, need = 0, size
+        for i, (a, m) in enumerate(zip(sizes, self.mults)):
+            after = start[i + 1]
+            n = next(n for n in range(min(m, need) + 1)
+                     if need - n <= start[-1] - after
+                     and reached + n * a + prefix[after + need - n] - prefix[after] >= goal)
+            counts.append(n)
+            reached += n * a
+            need -= n
+        return counts
+
+    @cached_property
+    def _tables(self) -> tuple[list[Fraction], list[list[Fraction]], list[Fraction]]:
+        """(cvals, pairs, q2) for the depth-first scan: t_pair(c, beta_i),
+        t_pair(beta_i, beta_j), and per-suffix bounds q2[i] >= |q|^2 for
+        every q built from weights i..k-1."""
+        p = self.p
+        k = len(self.weights)
+        cvals = [p.t_pair(self.c, b) for b in self.weights]
+        pairs = [[p.t_pair(a, b) for b in self.weights] for a in self.weights]
+        q2 = [Fraction(0)] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            total = q2[i + 1]
+            for a in range(i, k):
+                for b in range(i, k):
+                    if a == i or b == i:
+                        v = pairs[a][b]
+                        if v > 0:
+                            total += Fraction(self.mults[a] * self.mults[b]) * v / 4
+            q2[i] = total
+        return cvals, pairs, q2
 
     def _first_violation(self, size: int | None = None) -> list[int] | None:
         """Multiplicity vector of the first failing nonempty submultiset in
         branch order (the count at each index going 0, 1, 2, ...), of
         exactly size copies when size is given; None when there is none."""
+        cvals, pairs, q2 = self._tables
         k = len(self.weights)
         counts = [0] * k
         dots = [Fraction(0)] * k   # t_pair(rho_S, beta_j)
@@ -115,10 +192,10 @@ class _Condition2Search:
 
         def add_copy(i: int) -> None:
             nonlocal cs, ss, placed
-            cs += self.cvals[i] / 2
-            ss += dots[i] + self.pairs[i][i] / 4
+            cs += cvals[i] / 2
+            ss += dots[i] + pairs[i][i] / 4
             for j in range(k):
-                dots[j] += self.pairs[i][j] / 2
+                dots[j] += pairs[i][j] / 2
             counts[i] += 1
             placed += 1
 
@@ -127,9 +204,9 @@ class _Condition2Search:
             placed -= 1
             counts[i] -= 1
             for j in range(k):
-                dots[j] -= self.pairs[i][j] / 2
-            ss -= dots[i] + self.pairs[i][i] / 4
-            cs -= self.cvals[i] / 2
+                dots[j] -= pairs[i][j] / 2
+            ss -= dots[i] + pairs[i][i] / 4
+            cs -= cvals[i] / 2
 
         def rec(i: int) -> bool:
             if placed == size or (size is None and i == k):
@@ -141,9 +218,9 @@ class _Condition2Search:
             # Interval bound: over every completion q of the current
             # partial sum, f is at least f(partial) + min <c - 2 rho, q>
             # - max |q|^2, all three pieces exact rationals.
-            low = cs - ss - self.q2[i]
+            low = cs - ss - q2[i]
             for j in range(i, k):
-                t = self.cvals[j] / 2 - dots[j]
+                t = cvals[j] / 2 - dots[j]
                 if t < 0:
                     low += self.mults[j] * t
             if low > 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .reductive import ReductivePair
-from .weights import Weight, WeightMultiset
+from .weights import Weight, WeightMultiset, fmt, neg
 
 
 def is_regular(p: ReductivePair, lam: Weight) -> bool:
@@ -40,15 +40,19 @@ def split_roots(
     m_roots: list[Weight] = []
     ch: dict[Weight, int] = {}
     for root in p.g.positive_roots:
-        for signed in (root, tuple(-c for c in root)):
-            restricted = p.restrict(signed)
-            value = p.t_pair(lam, restricted)
-            if value > 0:
-                n_roots.append(signed)
-                ch[restricted] = ch.get(restricted, 0) + 1
-            elif value == 0 and signed == root:
-                m_roots.append(root)
-                m_roots.append(tuple(-c for c in root))
+        # restriction and pairing are linear: the negative root gives -value
+        restricted = p.restrict(root)
+        value = p.t_pair(lam, restricted)
+        if value > 0:
+            n_roots.append(root)
+            ch[restricted] = ch.get(restricted, 0) + 1
+        elif value < 0:
+            negative = neg(restricted)
+            n_roots.append(neg(root))
+            ch[negative] = ch.get(negative, 0) + 1
+        else:
+            m_roots.append(root)
+            m_roots.append(neg(root))
     return tuple(n_roots), tuple(m_roots), WeightMultiset(ch, rank=p.rank_t)
 
 
@@ -90,7 +94,7 @@ def compatible_parabolic(p: ReductivePair, lam: Weight) -> CompatibleParabolic:
     if excess is not None:
         raise ValueError(
             f"the k-positive multiset does not embed in the character of n: "
-            f"weight {excess} is missing; the embedding data is inconsistent "
+            f"weight {fmt(excess)} is missing; the embedding data is inconsistent "
             f"or lam is not b_k-dominant"
         )
     cap_kperp = ch_t_n.minus(cap_k)

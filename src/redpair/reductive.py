@@ -23,7 +23,7 @@ from .rootsystem import (
     enumerate_reflection_group,
     positive_roots_from_cartan,
 )
-from .weights import Weight, WeightMultiset, neg, weight, zero
+from .weights import Weight, WeightMultiset, fmt, neg, weight, zero
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ class ReductivePair:
         for i, sigma in enumerate(self.k_simple_roots):
             v = self.coroot_pairing(mu, i)
             if v.denominator != 1:
-                return f"coroot pairing {v} with k-simple root {sigma} is not integral"
+                return f"coroot pairing {v} with k-simple root {fmt(sigma)} is not integral"
             if v < 0:
-                return f"coroot pairing {v} with k-simple root {sigma} is negative"
+                return f"coroot pairing {v} with k-simple root {fmt(sigma)} is negative"
         return None
 
     def is_dominant_integral(self, mu: Weight) -> bool:
@@ -231,10 +231,10 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
         raise ValueError("one coroot functional is required per k-simple root")
     for s in k_simple:
         if len(s) != rank_t:
-            raise ValueError(f"k-simple root {s} has wrong rank")
+            raise ValueError(f"k-simple root {fmt(s)} has wrong rank")
     for f in functionals:
         if len(f) != rank_t:
-            raise ValueError(f"coroot functional {f} has wrong rank")
+            raise ValueError(f"coroot functional {fmt(f)} has wrong rank")
 
     n_k = len(k_simple)
     cartan_k = tuple(
@@ -248,10 +248,10 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
             if v.denominator != 1:
                 raise ValueError(
                     f"non-integral coroot pairing {v} between k-simple roots "
-                    f"{k_simple[i]} and {k_simple[j]}"
+                    f"{fmt(k_simple[i])} and {fmt(k_simple[j])}"
                 )
             if i == j and v != 2:
-                raise ValueError(f"k-simple root {k_simple[i]} pairs to {v} != 2 "
+                raise ValueError(f"k-simple root {fmt(k_simple[i])} pairs to {v} != 2 "
                                  "with its own coroot")
             if i != j and v > 0:
                 raise ValueError("positive off-diagonal Cartan entry in k root data")
@@ -267,7 +267,7 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
         )
         if mat_mul(transpose(refl), mat_mul(t_gram, refl)) != t_gram:
             raise ValueError(
-                f"coroot functional {f} for k-simple root {sigma} does not "
+                f"coroot functional {fmt(f)} for k-simple root {fmt(sigma)} does not "
                 f"act by an isometry of the induced form"
             )
 
@@ -286,7 +286,7 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
     for root in k_positive:
         if root not in delta_t:
             raise ValueError(
-                f"k-positive root {root} is not the restriction of any root"
+                f"k-positive root {fmt(root)} is not the restriction of any root"
             )
     ms: dict[Weight, int] = {}
     for root in k_positive:

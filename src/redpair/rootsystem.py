@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .linalg import Matrix, inverse, mat_vec
-from .weights import Weight, add, scale, sub, zero
+from .weights import Weight, add, fmt, scale, zero
 
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
@@ -179,31 +179,32 @@ def positive_roots_from_cartan(cartan: Matrix,
     Works level by level in height; beta + alpha_i is a root iff the
     alpha_i-string through beta satisfies p - <beta, alpha_i-coroot> > 0,
     where p is the largest k with beta - k alpha_i a root.  Roots come
-    out in simple-root coordinates, ordered by height.
+    out in simple-root coordinates, ordered by height.  The walk runs on
+    integer tuples, so every Cartan entry must be an integer.
     """
     rank = len(cartan)
-    simple = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(rank))
-              for i in range(rank)]
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v.denominator != 1:
+                raise ValueError(f"Cartan entry {v} at ({i + 1}, {j + 1}) "
+                                 f"is not an integer")
+    a = [[int(v) for v in row] for row in cartan]
+    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
 
-    def coroot_pairing(x: Weight, i: int) -> Fraction:
-        return sum(x[j] * cartan[j][i] for j in range(rank))
-
-    roots: set[Weight] = set(simple)
-    level: list[Weight] = list(simple)
+    roots: set[tuple[int, ...]] = set(simple)
+    level = list(simple)
     all_levels = [list(simple)]
     while level:
-        nxt: list[Weight] = []
+        nxt: list[tuple[int, ...]] = []
         for beta in level:
             for i in range(rank):
-                candidate = add(beta, simple[i])
+                candidate = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                 if candidate in roots:
                     continue
                 p = 0
-                probe = sub(beta, simple[i])
-                while probe in roots:
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
                     p += 1
-                    probe = sub(probe, simple[i])
-                if p - coroot_pairing(beta, i) > 0:
+                if p - sum(beta[j] * a[j][i] for j in range(rank)) > 0:
                     roots.add(candidate)
                     nxt.append(candidate)
                     if max_roots is not None and len(roots) > max_roots:
@@ -214,7 +215,7 @@ def positive_roots_from_cartan(cartan: Matrix,
         if nxt:
             all_levels.append(nxt)
         level = nxt
-    return [r for lev in all_levels for r in sorted(lev)]
+    return [tuple(Fraction(c) for c in r) for lev in all_levels for r in sorted(lev)]
 
 
 def build_root_system(t: LieType | str) -> RootSystem:
@@ -296,7 +297,7 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing
     for i in range(len(simple_roots)):
         c = coroot_pairing(x, i)
         if c <= 0:
-            raise ValueError(f"orbit base point {x} is not strictly dominant: "
+            raise ValueError(f"orbit base point {fmt(x)} is not strictly dominant: "
                              f"coroot pairing {c} at simple root {i + 1}")
     orbit = [((), x)]
     level = {x: ()}
@@ -395,7 +396,7 @@ def weyl_dim(rs: RootSystem, highest: Weight) -> int:
         c = rs.coroot_pairing(highest, i)
         if c.denominator != 1 or c < 0:
             raise ValueError(
-                f"weight {highest} is not dominant integral: "
+                f"weight {fmt(highest)} is not dominant integral: "
                 f"coroot pairing {c} at simple root {i + 1}"
             )
     return weyl_dim_from_roots(list(rs.positive_roots), rs.pair, highest)

@@ -35,6 +35,11 @@ def weight(coords: Iterable[Rational]) -> Weight:
     return tuple(as_fraction(c) for c in coords)
 
 
+def fmt(x: Weight) -> str:
+    """A weight for messages, coordinates as p/q: '[2, -1/2]'."""
+    return "[" + ", ".join(str(a) for a in x) + "]"
+
+
 def zero(rank: int) -> Weight:
     return (Fraction(0),) * rank
 
@@ -77,7 +82,7 @@ class WeightMultiset:
         self.entries: dict[Weight, int] = {}
         for w, m in items:
             if m < 0:
-                raise ValueError(f"negative multiplicity {m} for {w}")
+                raise ValueError(f"negative multiplicity {m} for {fmt(w)}")
             if m == 0:
                 continue
             self.entries[w] = self.entries.get(w, 0) + m
@@ -126,7 +131,7 @@ class WeightMultiset:
         """Exact multiset difference; raises if ``other`` is not contained."""
         excess = self.first_excess(other)
         if excess is not None:
-            raise ValueError(f"not a submultiset: weight {excess} has excess multiplicity")
+            raise ValueError(f"not a submultiset: weight {fmt(excess)} has excess multiplicity")
         return WeightMultiset(
             {w: m - other.entries.get(w, 0) for w, m in self.entries.items()},
             rank=self.rank,

@@ -257,6 +257,19 @@ mu = 1/2
     assert "validation error" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("lie_type = A2\nk = sl2\nlabels = [2, 2]\ncommand = generic-check\nmu = -1\n",
+     "k-simple root [2] is negative"),
+    (A2_FUNDSERIES + "lambda = 0\n", "the chamber weight [0] is irregular"),
+])
+def test_validation_message_prints_weights_as_rationals(tmp_path, capsys, text, message):
+    code, out, err = run_main(capsys, ["--config", write_config(tmp_path, text)])
+    assert code == 3
+    assert message in err
+    assert "Fraction(" not in err
+    assert out == ""
+
+
 def test_exit_code_cap_exceeded(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 lie_type = A2

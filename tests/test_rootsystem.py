@@ -6,6 +6,7 @@ from redpair.rootsystem import (
     CapExceeded,
     LieType,
     build_root_system,
+    positive_roots_from_cartan,
     weyl_dim,
     weyl_group,
 )
@@ -116,6 +117,19 @@ def test_weyl_rank_cap():
         weyl_group(rs, max_rank=2)
     with pytest.raises(CapExceeded):
         weyl_group(rs, max_size=5)
+
+
+def test_root_closure_rejects_non_integral_cartan_entries():
+    cartan = ((Fraction(2), Fraction(-3, 2)), (Fraction(-1), Fraction(2)))
+    with pytest.raises(ValueError, match="not an integer"):
+        positive_roots_from_cartan(cartan)
+
+
+def test_root_closure_cap():
+    # affine A1: the closure never ends
+    cartan = ((Fraction(2), Fraction(-2)), (Fraction(-2), Fraction(2)))
+    with pytest.raises(ValueError, match="not of finite type"):
+        positive_roots_from_cartan(cartan, max_roots=20)
 
 
 def test_weyl_dim_basics():
