@@ -338,9 +338,10 @@ def run_job(job: dict, args) -> dict:
     if cap is not None:
         if cap < 1:
             raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
-        # guard: refuse jobs whose small Weyl group would be enumerated
-        # beyond the cap
-        p.k_weyl_group(max_size=cap)
+        # guard: refuse jobs whose small Weyl group is larger than the cap,
+        # its order read off the k-root heights without enumerating it
+        if p.k_weyl_order() > cap:
+            raise CapExceeded(f"reflection group exceeds the cap of {cap} elements")
     doc: dict = {
         "job": {
             "lie_type": str(job.get("lie_type")),
@@ -455,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cutoff", default=None,
                         help="norm cutoff for tables, as an exact rational")
     parser.add_argument("--max-weyl", type=int, default=None,
-                        help="size cap on the small Weyl group enumeration")
+                        help="cap on the order of the small Weyl group")
     parser.add_argument("--emit", choices=("human", "machine", "both"),
                         default="human")
     args = parser.parse_args(argv)

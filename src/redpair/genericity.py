@@ -309,10 +309,5 @@ def sl2_threshold(p: ReductivePair) -> int:
     """
     if p.rank_t != 1:
         raise ValueError(f"threshold needs a rank-one subalgebra, got rank {p.rank_t}")
-    total = Fraction(0)
-    for root in p.g.positive_roots:
-        v = p.restrict(root)[0]
-        if v < 0:
-            v = -v
-        total += v
+    total = sum((abs(r[0]) for r in p.restricted_positive), Fraction(0))
     return math.floor(total / 2)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .weights import FractionTable
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -23,27 +26,50 @@ def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(sum(r * x for r, x in zip(row, v)) for row in a)
 
 
+def to_integers(a: Matrix) -> tuple[list[list[int]], int]:
+    """The entries of a scaled by their common denominator D, as ints, and D."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """Exact product, formed in integers scaled by each factor's common
+    denominator."""
+    ai, da = to_integers(a)
+    bi, db = to_integers(b)
+    fractions = FractionTable(da * db)
+    bt = list(zip(*bi))
+    return tuple(tuple(fractions[sum([x * y for x, y in zip(row, col)])] for col in bt)
+                 for row in ai)
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on a singular matrix."""
+    """Exact inverse; raises ValueError on a singular matrix.
+
+    The entries are scaled by their common denominator D into integers,
+    and fraction-free Gauss-Jordan elimination (Bareiss) runs on those:
+    every division by the previous pivot is exact, and at the end the left
+    block is d times the identity, d = +-det(D a), and the right block is
+    d (D a)^{-1}.  The inverse is then D / d times the right block, each
+    entry made a Fraction once.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
+    scaled, scale = to_integers(a)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise ValueError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if r != col:
+                row = aug[r]
+                f = row[col]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return tuple(tuple(Fraction(x * scale, prev) for x in row[n:]) for row in aug)

@@ -17,13 +17,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .linalg import mat_vec, transpose
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, fmt, neg
 
 
+def _grading(p: ReductivePair, lam: Weight) -> Weight:
+    """ell = t_gram^T lam, so that ell . y = t_pair(lam, y); formed once
+    per call and paired with every stored restricted root."""
+    if len(lam) != p.rank_t:
+        raise ValueError(f"grading weight must have rank {p.rank_t}")
+    return mat_vec(transpose(p.t_gram), lam)
+
+
 def is_regular(p: ReductivePair, lam: Weight) -> bool:
     """True iff lam pairs nonzero with every restricted root."""
-    return all(p.t_pair(lam, sigma) != 0 for sigma in p.delta_t)
+    ell = _grading(p, lam)
+    return all(sum(a * b for a, b in zip(ell, r)) != 0
+               for r in p.restricted_positive if any(r))
 
 
 def split_roots(
@@ -34,15 +45,13 @@ def split_roots(
     Returns (n_roots, m_roots, ch_t_n): the roots pairing positively,
     the roots pairing to zero, and the small-side character of n.
     """
-    if len(lam) != p.rank_t:
-        raise ValueError(f"grading weight must have rank {p.rank_t}")
+    ell = _grading(p, lam)
     n_roots: list[Weight] = []
     m_roots: list[Weight] = []
     ch: dict[Weight, int] = {}
-    for root in p.g.positive_roots:
+    for root, restricted in zip(p.g.positive_roots, p.restricted_positive):
         # restriction and pairing are linear: the negative root gives -value
-        restricted = p.restrict(root)
-        value = p.t_pair(lam, restricted)
+        value = sum(a * b for a, b in zip(ell, restricted))
         if value > 0:
             n_roots.append(root)
             ch[restricted] = ch.get(restricted, 0) + 1

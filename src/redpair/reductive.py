@@ -4,26 +4,34 @@ reductive subalgebra, described entirely through root-restriction data.
 A pair packages the restriction map from the big Cartan dual onto the
 small one, its orthogonal section (so the induced form on the small side
 is the restriction of the invariant form to the orthocomplement of the
-kernel), the nonzero restricted roots, and the subalgebra's own root
-data given by simple roots with coroot functionals.  Dominance and
-integrality on the small side are always tested through the supplied
-coroot functionals, never through the form, so no normalization
-mismatch can creep in.
+kernel), the restriction of every positive root of the ambient algebra,
+and the subalgebra's own root data given by simple roots with coroot
+functionals.  Dominance and integrality on the small side are always
+tested through the supplied coroot functionals, never through the form,
+so no normalization mismatch can creep in.
+
+Each positive root is restricted once, when the pair is built, in
+integers scaled by the common denominator of the restriction; for the
+identity restriction of Cartan and Levi pairs the roots themselves are
+stored.  The parabolic split, the regularity test, the rank-one
+threshold and the nonzero restricted roots all read that stored tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .linalg import Matrix, identity, inverse, mat_mul, mat_vec, transpose
+from .linalg import Matrix, identity, inverse, mat_mul, mat_vec, to_integers, transpose
 from .rootsystem import (
     RootSystem,
     WeylElement,
     enumerate_reflection_group,
     positive_roots_from_cartan,
+    weyl_group_order,
 )
-from .weights import Weight, WeightMultiset, fmt, neg, weight, zero
+from .weights import FractionTable, Weight, WeightMultiset, fmt, neg, weight, zero
 
 
 @dataclass(frozen=True)
@@ -37,8 +45,18 @@ class ReductivePair:
     k_coroot_functionals: tuple[tuple[Fraction, ...], ...]
     k_positive_roots: tuple[Weight, ...]
     rho: Weight                    # half-sum of the k-positive roots
-    delta_t: frozenset[Weight]     # nonzero restricted roots
+    restricted_positive: tuple[Weight, ...]  # restrictions of g.positive_roots, in order
     embedding_kind: str
+
+    @cached_property
+    def delta_t(self) -> frozenset[Weight]:
+        """The nonzero restricted roots, positive and negative."""
+        out = set()
+        for r in self.restricted_positive:
+            if any(r):
+                out.add(r)
+                out.add(neg(r))
+        return frozenset(out)
 
     def restrict(self, x: Weight) -> Weight:
         if len(x) != self.g.rank:
@@ -91,6 +109,15 @@ class ReductivePair:
         return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing,
                                           self.rho, max_size)
 
+    def k_weyl_order(self) -> int:
+        """|W_k|, from the heights of the k-positive roots in k-simple-root
+        coordinates; nothing is enumerated."""
+        cartan = tuple(
+            tuple(self.coroot_pairing(sigma, j) for j in range(len(self.k_simple_roots)))
+            for sigma in self.k_simple_roots
+        )
+        return weyl_group_order(cartan)
+
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
     """Lift and induced Gram matrix for a full-row-rank restriction.
@@ -110,14 +137,18 @@ def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Mat
     return lift, t_gram
 
 
-def _restricted_roots(g: RootSystem, restriction: Matrix) -> frozenset[Weight]:
-    out = set()
-    for root in g.positive_roots:
-        r = mat_vec(restriction, root)
-        if any(c != 0 for c in r):
-            out.add(r)
-            out.add(neg(r))
-    return frozenset(out)
+def _restrict_positive(g: RootSystem, restriction: Matrix) -> tuple[Weight, ...]:
+    """restriction . root for every positive root of g, in order.  The rows
+    are scaled by their common denominator D into integers, the roots have
+    integer coordinates, and each restricted coordinate is made a Fraction
+    with denominator D once."""
+    rows, den = to_integers(restriction)
+    fractions = FractionTable(den)
+    return tuple(
+        tuple([fractions[sum([a * c.numerator for a, c in zip(row, root)])]
+               for row in rows])
+        for root in g.positive_roots
+    )
 
 
 def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
@@ -139,6 +170,7 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
         raise ValueError("all-zero label vector")
     restriction = (tuple(Fraction(l) for l in labels),)
     lift, t_gram = _orthogonal_section(g, restriction)
+    restricted = _restrict_positive(g, restriction)
     two = weight([2])
     one_vec = (Fraction(1),)
     return ReductivePair(
@@ -151,7 +183,7 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
         k_coroot_functionals=(one_vec,),
         k_positive_roots=(two,),
         rho=weight([1]),
-        delta_t=_restricted_roots(g, restriction),
+        restricted_positive=restricted,
         embedding_kind="sl2-characteristic",
     )
 
@@ -170,7 +202,7 @@ def make_cartan_pair(g: RootSystem) -> ReductivePair:
         k_coroot_functionals=(),
         k_positive_roots=(),
         rho=zero(g.rank),
-        delta_t=_restricted_roots(g, ident),
+        restricted_positive=g.positive_roots,
         embedding_kind="cartan",
     )
 
@@ -204,7 +236,7 @@ def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
         k_coroot_functionals=functionals,
         k_positive_roots=k_positive,
         rho=rho,
-        delta_t=_restricted_roots(g, ident),
+        restricted_positive=g.positive_roots,
         embedding_kind="levi",
     )
 
@@ -271,7 +303,6 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
                 f"act by an isometry of the induced form"
             )
 
-    delta_t = _restricted_roots(g, restriction)
     if n_k:
         abstract = positive_roots_from_cartan(cartan_k,
                                               max_roots=2 * len(g.positive_roots))
@@ -283,16 +314,10 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
             k_positive.append(root)
     else:
         k_positive = []
-    for root in k_positive:
-        if root not in delta_t:
-            raise ValueError(
-                f"k-positive root {fmt(root)} is not the restriction of any root"
-            )
     ms: dict[Weight, int] = {}
     for root in k_positive:
         ms[root] = ms.get(root, 0) + 1
-    rho = WeightMultiset(ms, rank=rank_t).half_sum()
-    return ReductivePair(
+    pair = ReductivePair(
         g=g,
         rank_t=rank_t,
         restriction=restriction,
@@ -301,7 +326,13 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
         k_simple_roots=k_simple,
         k_coroot_functionals=functionals,
         k_positive_roots=tuple(k_positive),
-        rho=rho,
-        delta_t=delta_t,
+        rho=WeightMultiset(ms, rank=rank_t).half_sum(),
+        restricted_positive=_restrict_positive(g, restriction),
         embedding_kind="explicit",
     )
+    for root in k_positive:
+        if root not in pair.delta_t:
+            raise ValueError(
+                f"k-positive root {fmt(root)} is not the restriction of any root"
+            )
+    return pair

@@ -7,21 +7,25 @@ the simple roots, from which positive roots, the Weyl vector, Weyl
 groups and the Weyl dimension formula are all derived.
 
 Weyl groups are never built as matrices.  One breadth-first walk over
-the simple reflections, acting on the vectors of the orbit of a strictly
-dominant weight, yields every element as a reduced word together with
-its image of that weight; ``weyl_group``, the small Weyl group of a pair
-and the Kostant weights of a k-type are all read off that walk.
+the simple reflections, acting on the orbit of a strictly dominant
+weight, yields every element as a reduced word together with its image
+of that weight; ``weyl_group``, the small Weyl group of a pair and the
+Kostant weights of a k-type are all read off that walk.  The walk runs
+in integer coroot coordinates and makes each image a ``Fraction`` once;
+the Cartan matrix and the Weyl vector are likewise formed from integer
+sums.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import Matrix, inverse, mat_vec
-from .weights import Weight, add, fmt, scale, zero
+from .linalg import Matrix, inverse, mat_vec, to_integers
+from .weights import FractionTable, Weight, add, fmt, scale, zero
 
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
@@ -152,10 +156,9 @@ class RootSystem:
         return sum(a * b for a, b in zip(x, gy))
 
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
-        """<x, alpha_i-coroot> = 2 (x, alpha_i) / (alpha_i, alpha_i)."""
-        col = [self.gram[j][i] for j in range(self.rank)]
-        num = sum(a * b for a, b in zip(x, col))
-        return 2 * num / self.gram[i][i]
+        """<x, alpha_i-coroot> = sum_j x_j cartan[j][i], since
+        cartan[j][i] = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)."""
+        return sum(a * row[i] for a, row in zip(x, self.cartan))
 
     def from_fundamental(self, coords: Weight) -> Weight:
         """Convert fundamental-weight coordinates to simple-root coordinates.
@@ -182,13 +185,20 @@ def positive_roots_from_cartan(cartan: Matrix,
     out in simple-root coordinates, ordered by height.  The walk runs on
     integer tuples, so every Cartan entry must be an integer.
     """
-    rank = len(cartan)
     for i, row in enumerate(cartan):
         for j, v in enumerate(row):
             if v.denominator != 1:
                 raise ValueError(f"Cartan entry {v} at ({i + 1}, {j + 1}) "
                                  f"is not an integer")
     a = [[int(v) for v in row] for row in cartan]
+    return [tuple(Fraction(c) for c in r) for r in _root_closure(a, max_roots)]
+
+
+def _root_closure(a: list[list[int]],
+                  max_roots: int | None = None) -> list[tuple[int, ...]]:
+    """The positive roots of an integer Cartan matrix as int tuples,
+    ordered by height; see positive_roots_from_cartan."""
+    rank = len(a)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
 
     roots: set[tuple[int, ...]] = set(simple)
@@ -215,7 +225,23 @@ def positive_roots_from_cartan(cartan: Matrix,
         if nxt:
             all_levels.append(nxt)
         level = nxt
-    return [tuple(Fraction(c) for c in r) for lev in all_levels for r in sorted(lev)]
+    return [r for lev in all_levels for r in sorted(lev)]
+
+
+def weyl_group_order(cartan: Matrix) -> int:
+    """|W| = prod (e_i + 1) over the exponents e_i, read off the heights of
+    the positive roots: N_h - N_{h+1} exponents equal h, where N_h counts
+    the roots of height h (Kostant, Amer. J. Math. 81 (1959); Humphreys,
+    Reflection Groups and Coxeter Groups, 3.20).  Products need no special
+    case, and the empty matrix gives 1."""
+    heights: dict[int, int] = {}
+    for root in positive_roots_from_cartan(cartan):
+        h = int(sum(root))
+        heights[h] = heights.get(h, 0) + 1
+    order = 1
+    for h, count in heights.items():
+        order *= (h + 1) ** (count - heights.get(h + 1, 0))
+    return order
 
 
 def build_root_system(t: LieType | str) -> RootSystem:
@@ -232,34 +258,33 @@ def build_root_system(t: LieType | str) -> RootSystem:
                 gram[offset + i][offset + j] = block[i][j]
         offset += n
 
-    cartan = tuple(
-        tuple(2 * gram[i][j] / gram[j][j] for j in range(rank)) for i in range(rank)
-    )
-    simple = tuple(
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(rank))
-        for i in range(rank)
-    )
-    positive = tuple(positive_roots_from_cartan(cartan))
+    # 6 (alpha_i, alpha_j) is an integer for every family (lengths 2/3,
+    # 1 and 2, off-diagonal entries -1/2 and -1); the Cartan entries
+    # 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) are integer quotients of it
+    g6 = [[(6 * v).numerator for v in row] for row in gram]
+    a = [[2 * g6[i][j] // g6[j][j] for j in range(rank)] for i in range(rank)]
+    roots = _root_closure(a)
 
     expected = sum(_POSITIVE_ROOT_COUNT[f](n) for f, n in lie_type.components)
-    if len(positive) != expected:
+    if len(roots) != expected:
         raise AssertionError(
-            f"positive root closure for {lie_type} produced {len(positive)} roots, "
+            f"positive root closure for {lie_type} produced {len(roots)} roots, "
             f"expected {expected}"
         )
 
-    total = zero(rank)
-    for r in positive:
-        total = add(total, r)
-    rho_tilde = scale(Fraction(1, 2), total)
+    # one Fraction per distinct integer
+    ints = {v: Fraction(v) for v in {c for r in roots for c in r}
+            | {c for row in a for c in row} | {0, 1}}
+    total = [sum(column) for column in zip(*roots)]
 
     return RootSystem(
         lie_type=lie_type,
         gram=tuple(tuple(row) for row in gram),
-        cartan=cartan,
-        simple_roots=simple,
-        positive_roots=positive,
-        rho_tilde=rho_tilde,
+        cartan=tuple(tuple(ints[v] for v in row) for row in a),
+        simple_roots=tuple(tuple(ints[int(j == i)] for j in range(rank))
+                           for i in range(rank)),
+        positive_roots=tuple(tuple(ints[c] for c in r) for r in roots),
+        rho_tilde=tuple(Fraction(t, 2) for t in total),
     )
 
 
@@ -282,6 +307,47 @@ def fold_dominant(x: Weight, simple_roots: tuple[Weight, ...],
             return x
 
 
+def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
+                 max_size: int | None):
+    """The breadth-first walk of ``reflection_orbit`` in integer coroot
+    coordinates.  Returns (scale, nodes), each node (word, a) with
+    w x = x - sum_i a_i sigma_i / scale."""
+    n = len(simple_roots)
+    pairings = [coroot_pairing(x, i) for i in range(n)]
+    for i, c in enumerate(pairings):
+        if c <= 0:
+            raise ValueError(f"orbit base point {fmt(x)} is not strictly dominant: "
+                             f"coroot pairing {c} at simple root {i + 1}")
+    cartan = [[coroot_pairing(sigma, j) for j in range(n)] for sigma in simple_roots]
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v.denominator != 1:
+                raise ValueError(f"coroot pairing {v} of simple roots {i + 1} and "
+                                 f"{j + 1} is not an integer")
+    cartan = [[int(v) for v in row] for row in cartan]
+    scale = math.lcm(*(c.denominator for c in pairings))
+    start = tuple(c.numerator * (scale // c.denominator) for c in pairings)
+    nodes = [((), (0,) * n)]
+    level = {start: nodes[0]}
+    while level:
+        nxt: dict = {}
+        for c, (word, a) in level.items():
+            for i, ci in enumerate(c):
+                if ci <= 0:
+                    continue
+                z = tuple([u - ci * v for u, v in zip(c, cartan[i])])
+                if z in nxt:
+                    continue
+                nxt[z] = ((i,) + word, a[:i] + (a[i] + ci,) + a[i + 1:])
+                if max_size is not None and len(nodes) + len(nxt) > max_size:
+                    raise CapExceeded(
+                        f"reflection group exceeds the cap of {max_size} elements"
+                    )
+        nodes.extend(nxt.values())
+        level = nxt
+    return scale, nodes
+
+
 def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
                      max_size: int | None = None) -> list[tuple[tuple[int, ...], Weight]]:
     """The Weyl orbit of a strictly dominant x as (reduced word, w x) pairs,
@@ -293,31 +359,32 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing
     longer than w exactly when <w x, sigma_i-coroot> > 0.  Each level is
     therefore reached from the one before by those reflections alone, and
     the depth of a point is the length of its word.
+
+    The walk runs on the coroot coordinates c_j = <y, sigma_j-coroot>,
+    scaled by their common denominator into integers, under
+    c -> c - c_i A_i with A[i][j] = <sigma_i, sigma_j-coroot>, which must
+    be an integer.  Within one orbit c determines y: y - x lies in the
+    span of the sigma_i, on which A is nondegenerate.  Each point carries
+    its displacement a, with a_i increased by c_i at each reflection s_i,
+    so that w x = x - sum_i a_i sigma_i; the points are recovered from it
+    once, at the end, in integers scaled by one common denominator.
     """
-    for i in range(len(simple_roots)):
-        c = coroot_pairing(x, i)
-        if c <= 0:
-            raise ValueError(f"orbit base point {fmt(x)} is not strictly dominant: "
-                             f"coroot pairing {c} at simple root {i + 1}")
+    scale, nodes = _coroot_walk(x, simple_roots, coroot_pairing, max_size)
     orbit = [((), x)]
-    level = {x: ()}
-    while level:
-        nxt: dict[Weight, tuple[int, ...]] = {}
-        for y, word in level.items():
-            for i, sigma in enumerate(simple_roots):
-                c = coroot_pairing(y, i)
-                if c <= 0:
-                    continue
-                z = _reflect(y, c, sigma)
-                if z in nxt:
-                    continue
-                nxt[z] = (i,) + word
-                if max_size is not None and len(orbit) + len(nxt) > max_size:
-                    raise CapExceeded(
-                        f"reflection group exceeds the cap of {max_size} elements"
-                    )
-        orbit.extend((word, z) for z, word in nxt.items())
-        level = nxt
+    if len(nodes) == 1:
+        return orbit
+    sigmas, sigma_den = to_integers(simple_roots)
+    den = math.lcm(scale * sigma_den, *(v.denominator for v in x))
+    base = [v.numerator * (den // v.denominator) for v in x]
+    factor = den // (scale * sigma_den)
+    fractions = FractionTable(den)
+    for word, a in nodes[1:]:
+        shift = [0] * len(x)
+        for ai, sigma in zip(a, sigmas):
+            if ai:
+                shift = [s + ai * v for s, v in zip(shift, sigma)]
+        orbit.append((word, tuple([fractions[b - factor * s]
+                                   for b, s in zip(base, shift)])))
     return orbit
 
 
@@ -349,8 +416,8 @@ def enumerate_reflection_group(simple_roots: tuple[Weight, ...], coroot_pairing,
                                max_size: int | None = None) -> list[WeylElement]:
     """Every element of the group generated by the simple reflections,
     read off the orbit of the strictly dominant rho; depth equals length."""
-    return [WeylElement(word, simple_roots, coroot_pairing)
-            for word, _ in reflection_orbit(rho, simple_roots, coroot_pairing, max_size)]
+    _, nodes = _coroot_walk(rho, simple_roots, coroot_pairing, max_size)
+    return [WeylElement(word, simple_roots, coroot_pairing) for word, _ in nodes]
 
 
 def weyl_group(rs: RootSystem, max_rank: int = 6,

@@ -40,6 +40,19 @@ def fmt(x: Weight) -> str:
     return "[" + ", ".join(str(a) for a in x) + "]"
 
 
+class FractionTable(dict):
+    """numerator -> Fraction(numerator, denominator), each built once, for
+    turning integer-scaled coordinates back into weights."""
+
+    def __init__(self, denominator: int):
+        super().__init__()
+        self.denominator = denominator
+
+    def __missing__(self, numerator: int) -> Fraction:
+        value = self[numerator] = Fraction(numerator, self.denominator)
+        return value
+
+
 def zero(rank: int) -> Weight:
     return (Fraction(0),) * rank
 

@@ -1,0 +1,84 @@
+"""The ``Fraction`` versions of the integer kernels, kept as their oracles:
+the orbit walk on weight vectors, Gauss-Jordan inversion over the
+rationals, and the root split that restricts every root on each call."""
+
+from fractions import Fraction
+
+from redpair.rootsystem import CapExceeded
+from redpair.weights import WeightMultiset, neg
+
+
+def reflection_orbit(x, simple_roots, coroot_pairing, max_size=None):
+    """Breadth-first walk of the orbit of a strictly dominant x under
+    y -> y - <y, sigma_i-coroot> sigma_i, on the points themselves."""
+    for i in range(len(simple_roots)):
+        c = coroot_pairing(x, i)
+        if c <= 0:
+            raise ValueError(f"orbit base point {x} is not strictly dominant")
+    orbit = [((), x)]
+    level = {x: ()}
+    while level:
+        nxt = {}
+        for y, word in level.items():
+            for i, sigma in enumerate(simple_roots):
+                c = coroot_pairing(y, i)
+                if c <= 0:
+                    continue
+                z = tuple(a - c * b for a, b in zip(y, sigma))
+                if z in nxt:
+                    continue
+                nxt[z] = (i,) + word
+                if max_size is not None and len(orbit) + len(nxt) > max_size:
+                    raise CapExceeded(
+                        f"reflection group exceeds the cap of {max_size} elements"
+                    )
+        orbit.extend((word, z) for z, word in nxt.items())
+        level = nxt
+    return orbit
+
+
+def inverse(a):
+    """Gauss-Jordan elimination in ``Fraction``; ValueError when singular."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse needs a square matrix")
+    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def split_roots(p, lam):
+    """(n_roots, m_roots, ch_t_n), restricting each root and pairing it
+    through ``t_pair``."""
+    n_roots, m_roots, ch = [], [], {}
+    for root in p.g.positive_roots:
+        restricted = p.restrict(root)
+        value = p.t_pair(lam, restricted)
+        if value > 0:
+            n_roots.append(root)
+            ch[restricted] = ch.get(restricted, 0) + 1
+        elif value < 0:
+            negative = neg(restricted)
+            n_roots.append(neg(root))
+            ch[negative] = ch.get(negative, 0) + 1
+        else:
+            m_roots.append(root)
+            m_roots.append(neg(root))
+    return tuple(n_roots), tuple(m_roots), WeightMultiset(ch, rank=p.rank_t)
+
+
+def mat_mul(a, b):
+    """The product summed in ``Fraction``."""
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)

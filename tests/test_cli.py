@@ -301,6 +301,26 @@ max_weyl = 1
     assert json.loads(out)["genericity"]["holds"] is True
 
 
+@pytest.mark.parametrize("cap,expected", [(51839, 4), (51840, 0)])
+def test_cap_compares_the_weyl_order_without_enumerating(tmp_path, capsys, cap, expected):
+    # the Levi subalgebra on nodes 1..6 of E7 has Weyl group W(E6), of
+    # order 51840; its order is read off the root heights
+    cfg = write_config(tmp_path, """
+lie_type = E7
+k = levi
+nodes = [1, 2, 3, 4, 5, 6]
+command = pair-info
+""")
+    code, out, err = run_main(capsys, ["--config", cfg, "--max-weyl", str(cap),
+                                       "--emit", "machine"])
+    assert code == expected
+    if expected == 4:
+        assert out == ""
+        assert "cap of 51839 elements" in err
+    else:
+        assert len(json.loads(out)["pair"]["k_positive_roots"]) == 36
+
+
 @pytest.mark.parametrize("source", ["flag", "key"])
 @pytest.mark.parametrize("cap", [0, -1])
 def test_cap_below_one_is_parse_error(tmp_path, capsys, source, cap):

@@ -1,0 +1,209 @@
+"""The integer kernels of the root and Weyl machinery against their
+``Fraction`` versions in kernel_oracle: the orbit walk in coroot
+coordinates, the integer-scaled inverse and product, the restrictions
+stored once per pair, and the root split that reads them."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import kernel_oracle
+from redpair.fundseries import kostant_weights
+from redpair.linalg import inverse, mat_mul, mat_vec
+from redpair.parabolic import is_regular, split_roots
+from redpair.reductive import (
+    make_cartan_pair,
+    make_explicit_pair,
+    make_levi_pair,
+    make_sl2_pair,
+)
+from redpair.rootsystem import (
+    CapExceeded,
+    build_root_system,
+    reflection_orbit,
+    weyl_group,
+    weyl_group_order,
+)
+from redpair.weights import add, sub, vec, zero
+from test_weyl_orbit import PAIRS
+
+ORBIT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+MARK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"]
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A1xA1", "B2xG2"]
+)
+
+
+def marks(rank):
+    return [list(m) for m in itertools.product((0, 1, 2), repeat=rank) if any(m)]
+
+
+@pytest.mark.parametrize("name", ORBIT_TYPES)
+def test_weyl_group_walk_matches_fraction_walk(name):
+    rs = build_root_system(name)
+    expected = kernel_oracle.reflection_orbit(rs.rho_tilde, rs.simple_roots,
+                                              rs.coroot_pairing)
+    assert reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_pairing) == expected
+    assert [w.word for w in weyl_group(rs)] == [word for word, _ in expected]
+
+
+@pytest.mark.parametrize("case", sorted(PAIRS))
+def test_kostant_weights_match_fraction_walk(case):
+    p = PAIRS[case]()
+    for delta in (zero(p.rank_t), p.restrict(add(p.g.rho_tilde, p.g.rho_tilde))):
+        x = add(delta, p.rho)
+        expected = kernel_oracle.reflection_orbit(x, p.k_simple_roots, p.coroot_pairing)
+        assert reflection_orbit(x, p.k_simple_roots, p.coroot_pairing) == expected
+        assert kostant_weights(p, delta) == \
+            sorted((len(word), sub(y, p.rho)) for word, y in expected)
+
+
+def test_orbit_of_a_fractional_point_and_its_cap():
+    rs = build_root_system("B3")
+    x = (Fraction(5, 2), Fraction(13, 3), Fraction(31, 6))
+    assert all(rs.coroot_pairing(x, i) > 0 for i in range(3))
+    expected = kernel_oracle.reflection_orbit(x, rs.simple_roots, rs.coroot_pairing)
+    assert reflection_orbit(x, rs.simple_roots, rs.coroot_pairing) == expected
+    for cap in (1, 7, 47):
+        with pytest.raises(CapExceeded, match=f"cap of {cap} elements"):
+            reflection_orbit(x, rs.simple_roots, rs.coroot_pairing, max_size=cap)
+    assert len(reflection_orbit(x, rs.simple_roots, rs.coroot_pairing, max_size=48)) == 48
+
+
+def test_orbit_needs_integral_pairings_between_simple_roots():
+    # an A2 diagram with the coroots rescaled: A = [[2, -1/2], [-2, 2]]
+    columns = ((Fraction(2), Fraction(-2)), (Fraction(-1, 2), Fraction(2)))
+    simple = (vec(1, 0), vec(0, 1))
+
+    def pairing(y, i):
+        return sum(a * b for a, b in zip(y, columns[i]))
+
+    with pytest.raises(ValueError, match="is not an integer"):
+        reflection_orbit(vec(2, 1), simple, pairing)
+
+
+def test_coroot_pairing_is_the_gram_quotient():
+    for name in ALL_TYPES:
+        rs = build_root_system(name)
+        x = tuple(Fraction(3 * j - 7, j + 2) for j in range(rs.rank))
+        for i in range(rs.rank):
+            col = [rs.gram[j][i] for j in range(rs.rank)]
+            expected = 2 * sum(a * b for a, b in zip(x, col)) / rs.gram[i][i]
+            assert rs.coroot_pairing(x, i) == expected
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_inverse_of_gram_and_cartan_matches_fraction_elimination(name):
+    rs = build_root_system(name)
+    for m in (rs.gram, rs.cartan, tuple(zip(*rs.cartan))):
+        assert inverse(m) == kernel_oracle.inverse(m)
+
+
+def _random_matrix(rng, rows, cols):
+    return tuple(
+        tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+              if rng.random() < 0.7 else Fraction(0) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def test_inverse_and_product_of_random_matrices():
+    rng = random.Random(20)
+    singular = 0
+    for _ in range(800):
+        n = rng.randint(0, 6)
+        a = _random_matrix(rng, n, n)
+        try:
+            expected = kernel_oracle.inverse(a)
+        except ValueError as exc:
+            singular += 1
+            with pytest.raises(ValueError, match=str(exc)):
+                inverse(a)
+            continue
+        assert inverse(a) == expected
+        b = _random_matrix(rng, n, rng.randint(0, 4))
+        assert mat_mul(a, b) == kernel_oracle.mat_mul(a, b)
+    assert singular > 20
+
+
+def test_inverse_errors_are_unchanged():
+    for bad in (((Fraction(1), Fraction(2)),), ((Fraction(1),), (Fraction(2),))):
+        with pytest.raises(ValueError, match="inverse needs a square matrix"):
+            inverse(bad)
+    with pytest.raises(ValueError, match="singular matrix"):
+        inverse(((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1))))
+    a2 = build_root_system("A2")
+    with pytest.raises(ValueError, match="rank-deficient restriction"):
+        make_explicit_pair(a2, [[1, 1], [2, 2]], [], [])
+
+
+def _pairs_of(name):
+    g = build_root_system(name)
+    pairs = [make_cartan_pair(g), make_sl2_pair(g, [2] * g.rank),
+             make_sl2_pair(g, [1] + [0] * (g.rank - 1)),
+             make_levi_pair(g, {1}), make_levi_pair(g, set(range(2, g.rank + 1)))]
+    half = [[Fraction(i + 1, 2) if i == j else Fraction(0) for j in range(g.rank)]
+            for i in range(g.rank)]
+    pairs.append(make_explicit_pair(g, half, [], []))
+    if g.rank > 1:
+        pairs.append(make_explicit_pair(g, [[1] * g.rank, [0] * (g.rank - 1) + [3]],
+                                        [], []))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C4", "D5", "G2", "F4",
+                                  "E6", "E7", "E8", "A1xA1", "B2xG2"])
+def test_stored_restrictions_equal_restricting_each_root(name):
+    for p in _pairs_of(name):
+        assert p.restricted_positive == tuple(mat_vec(p.restriction, root)
+                                              for root in p.g.positive_roots)
+        assert p.delta_t == frozenset(
+            r for root in p.g.positive_roots for r in
+            (p.restrict(root), tuple(-c for c in p.restrict(root))) if any(r))
+
+
+@pytest.mark.parametrize("name", MARK_TYPES)
+def test_split_roots_matches_restricting_each_root(name):
+    g = build_root_system(name)
+    lams = [vec(v) for v in ("-5/2", -1, 0, "1/3", 2, 7)]
+    for labels in marks(g.rank):
+        p = make_sl2_pair(g, labels)
+        for lam in lams:
+            assert split_roots(p, lam) == kernel_oracle.split_roots(p, lam)
+            assert is_regular(p, lam) == all(p.t_pair(lam, s) != 0 for s in p.delta_t)
+
+
+def test_split_roots_on_levi_and_explicit_pairs():
+    for name in ("A3", "B3", "G2"):
+        for p in _pairs_of(name):
+            for lam in (p.restrict(p.g.rho_tilde), vec(*range(-1, p.rank_t - 1))):
+                assert split_roots(p, lam) == kernel_oracle.split_roots(p, lam)
+                assert is_regular(p, lam) == all(p.t_pair(lam, s) != 0
+                                                 for s in p.delta_t)
+
+
+def test_k_weyl_order_equals_the_enumerated_group():
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
+                 "A1xA1"):
+        g = build_root_system(name)
+        for size in range(g.rank + 1):
+            for nodes in itertools.combinations(range(1, g.rank + 1), size):
+                p = make_levi_pair(g, set(nodes))
+                assert p.k_weyl_order() == len(p.k_weyl_group())
+        for labels in ([2] * g.rank, [1] * g.rank):
+            p = make_sl2_pair(g, labels)
+            assert p.k_weyl_order() == len(p.k_weyl_group()) == 2
+    p = PAIRS["C3-levi-123-explicit"]()
+    assert p.k_weyl_order() == len(p.k_weyl_group()) == 48
+
+
+def test_weyl_group_order_of_exceptional_types():
+    orders = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600,
+              "A1xA1": 4, "B2xG2": 96, "D8": 5160960}
+    for name, order in orders.items():
+        assert weyl_group_order(build_root_system(name).cartan) == order
+    assert weyl_group_order(()) == 1
