@@ -35,7 +35,8 @@ from .genericity import norm2_shifted
 from .linalg import mat_vec, transpose
 from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular
 from .reductive import ReductivePair
-from .rootsystem import RootSystem, fold_dominant, reflection_orbit, weyl_dim_from_roots
+from .rootsystem import (CapExceeded, RootSystem, fold_dominant, reflection_orbit,
+                         weyl_dim_from_roots)
 from .weights import Weight, WeightMultiset, add, fmt, scale, sub, zero
 
 
@@ -203,10 +204,13 @@ def partition_count(p: ReductivePair, generators: WeightMultiset,
 def kostant_weights(p: ReductivePair, delta: Weight,
                     max_weyl: int | None = 1_000_000) -> list[tuple[int, Weight]]:
     """The weights w(delta + rho) - rho of the nilradical cohomology of a
-    k-type, one per Weyl element w, tagged with the degree length(w)."""
+    k-type, one per Weyl element w, tagged with the degree length(w).
+    A small Weyl group larger than max_weyl is refused before the walk."""
     defect = p.dominance_defect(delta)
     if defect is not None:
         raise ValueError(f"delta is not dominant integral: {defect}")
+    if max_weyl is not None and p.k_weyl_order() > max_weyl:
+        raise CapExceeded(f"reflection group exceeds the cap of {max_weyl} elements")
     orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots,
                              p.coroot_pairing, max_weyl)
     return sorted((len(word), sub(y, p.rho)) for word, y in orbit)

@@ -1,20 +1,28 @@
 """Reductive pairs: a semisimple algebra together with an embedded
-reductive subalgebra, described entirely through root-restriction data.
+reductive subalgebra, given by root-restriction data.
 
-A pair packages the restriction map from the big Cartan dual onto the
-small one, its orthogonal section (so the induced form on the small side
-is the restriction of the invariant form to the orthocomplement of the
-kernel), the restriction of every positive root of the ambient algebra,
-and the subalgebra's own root data given by simple roots with coroot
-functionals.  Dominance and integrality on the small side are always
-tested through the supplied coroot functionals, never through the form,
-so no normalization mismatch can creep in.
+A pair is given by its restriction, the map from the big Cartan dual onto
+the small one, and by the subalgebra's root data: simple roots with
+coroot functionals.  One constructor, behind all four factories, derives
+the rest once:
 
-Each positive root is restricted once, when the pair is built, in
-integers scaled by the common denominator of the restriction; for the
-identity restriction of Cartan and Levi pairs the roots themselves are
-stored.  The parabolic split, the regularity test, the rank-one
-threshold and the nonzero restricted roots all read that stored tuple.
+- the orthogonal section of the restriction and the induced form on the
+  small side (the restriction of the invariant form to the
+  orthocomplement of the kernel);
+- the restriction of every positive root of the ambient algebra, in
+  integers scaled by the common denominator of the restriction;
+- the k-positive roots, the integer root closure of the k Cartan matrix
+  <sigma_i, sigma_j-coroot> combined with the k-simple roots, and rho,
+  half their sum.
+
+When the restriction is the identity, which the constructor reads off the
+matrix itself, the section is the identity, the induced form is the
+ambient Gram matrix and the restricted roots are the roots themselves, so
+nothing is inverted or restricted.  The parabolic split, the regularity
+test, the rank-one threshold and the nonzero restricted roots all read
+the stored restrictions.  Dominance and integrality on the small side are
+always tested through the supplied coroot functionals, never through the
+form, so no normalization mismatch can creep in.
 """
 
 from __future__ import annotations
@@ -23,15 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Matrix, identity, inverse, mat_mul, mat_vec, to_integers, transpose
+from .linalg import Matrix, inverse, mat_mul, mat_vec, to_integers, transpose
 from .rootsystem import (
     RootSystem,
     WeylElement,
+    _root_closure,
     enumerate_reflection_group,
-    positive_roots_from_cartan,
     weyl_group_order,
 )
-from .weights import FractionTable, Weight, WeightMultiset, fmt, neg, weight, zero
+from .weights import FractionTable, Weight, WeightMultiset, fmt, neg, weight
 
 
 @dataclass(frozen=True)
@@ -98,10 +106,7 @@ class ReductivePair:
         return self.dominance_defect(mu) is None
 
     def k_positive_multiset(self) -> WeightMultiset:
-        ms: dict[Weight, int] = {}
-        for w in self.k_positive_roots:
-            ms[w] = ms.get(w, 0) + 1
-        return WeightMultiset(ms, rank=self.rank_t)
+        return WeightMultiset(((w, 1) for w in self.k_positive_roots), rank=self.rank_t)
 
     def k_weyl_group(self, max_size: int | None = 1_000_000) -> list[WeylElement]:
         """The subalgebra's Weyl group acting on small-side weights, read
@@ -111,12 +116,12 @@ class ReductivePair:
 
     def k_weyl_order(self) -> int:
         """|W_k|, from the heights of the k-positive roots in k-simple-root
-        coordinates; nothing is enumerated."""
-        cartan = tuple(
-            tuple(self.coroot_pairing(sigma, j) for j in range(len(self.k_simple_roots)))
-            for sigma in self.k_simple_roots
-        )
-        return weyl_group_order(cartan)
+        coordinates; nothing is enumerated, and a pair computes it once."""
+        return self._k_weyl_order
+
+    @cached_property
+    def _k_weyl_order(self) -> int:
+        return weyl_group_order(_k_cartan(self.k_simple_roots, self.k_coroot_functionals))
 
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
@@ -137,18 +142,61 @@ def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Mat
     return lift, t_gram
 
 
-def _restrict_positive(g: RootSystem, restriction: Matrix) -> tuple[Weight, ...]:
-    """restriction . root for every positive root of g, in order.  The rows
-    are scaled by their common denominator D into integers, the roots have
-    integer coordinates, and each restricted coordinate is made a Fraction
-    with denominator D once."""
-    rows, den = to_integers(restriction)
+def _images(matrix: Matrix, vectors) -> tuple[Weight, ...]:
+    """matrix . v for every integer vector v (int or integral Fraction
+    entries), in order.  The rows are scaled by their common denominator D
+    into integers, and each image coordinate is made a Fraction with
+    denominator D once."""
+    rows, den = to_integers(matrix)
     fractions = FractionTable(den)
     return tuple(
-        tuple([fractions[sum([a * c.numerator for a, c in zip(row, root)])]
-               for row in rows])
-        for root in g.positive_roots
+        tuple([fractions[sum([a * c.numerator for a, c in zip(row, v)])] for row in rows])
+        for v in vectors
     )
+
+
+def _k_cartan(k_simple: tuple[Weight, ...],
+              functionals: tuple[tuple[Fraction, ...], ...]) -> list[list[int]]:
+    """The k Cartan matrix, entry (i, j) = <sigma_i, sigma_j-coroot>.  It must
+    be an integer matrix with 2 on the diagonal and no positive entry off it."""
+    cartan = mat_mul(k_simple, transpose(functionals))
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v.denominator != 1:
+                raise ValueError(
+                    f"non-integral coroot pairing {v} between k-simple roots "
+                    f"{fmt(k_simple[i])} and {fmt(k_simple[j])}"
+                )
+            if i == j and v != 2:
+                raise ValueError(f"k-simple root {fmt(k_simple[i])} pairs to {v} != 2 "
+                                 "with its own coroot")
+            if i != j and v > 0:
+                raise ValueError("positive off-diagonal Cartan entry in k root data")
+    return [[v.numerator for v in row] for row in cartan]
+
+
+def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
+          functionals: tuple[tuple[Fraction, ...], ...], kind: str) -> ReductivePair:
+    """The pair fixed by a full-row-rank restriction and the k root data,
+    every other field derived (see the module docstring).
+
+    The k-positive roots come out ordered by height and, within a height,
+    lexicographically in k-simple-root coordinates; a Levi subset's roots
+    therefore keep the order they have among the roots of g.
+    """
+    if restriction == g.simple_roots:
+        # the identity: the simple roots are the unit vectors of their basis
+        lift, t_gram, restricted = restriction, g.gram, g.positive_roots
+    else:
+        lift, t_gram = _orthogonal_section(g, restriction)
+        restricted = _images(restriction, g.positive_roots)
+    closure = _root_closure(_k_cartan(k_simple, functionals),
+                            max_roots=2 * len(g.positive_roots))
+    k_positive = _images(transpose(k_simple), closure)
+    rank_t = len(restriction)
+    rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
+    return ReductivePair(g, rank_t, restriction, lift, t_gram, k_simple, functionals,
+                         k_positive, rho, restricted, kind)
 
 
 def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
@@ -168,77 +216,26 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
             raise ValueError(f"label {l} outside {{0, 1, 2}}")
     if all(l == 0 for l in labels):
         raise ValueError("all-zero label vector")
-    restriction = (tuple(Fraction(l) for l in labels),)
-    lift, t_gram = _orthogonal_section(g, restriction)
-    restricted = _restrict_positive(g, restriction)
-    two = weight([2])
-    one_vec = (Fraction(1),)
-    return ReductivePair(
-        g=g,
-        rank_t=1,
-        restriction=restriction,
-        lift=lift,
-        t_gram=t_gram,
-        k_simple_roots=(two,),
-        k_coroot_functionals=(one_vec,),
-        k_positive_roots=(two,),
-        rho=weight([1]),
-        restricted_positive=restricted,
-        embedding_kind="sl2-characteristic",
-    )
+    return _pair(g, (tuple(Fraction(l) for l in labels),), (weight([2]),),
+                 ((Fraction(1),),), "sl2-characteristic")
 
 
 def make_cartan_pair(g: RootSystem) -> ReductivePair:
     """The pair whose subalgebra is the Cartan itself: identity
     restriction, no subalgebra roots, trivial small Weyl group."""
-    ident = identity(g.rank)
-    return ReductivePair(
-        g=g,
-        rank_t=g.rank,
-        restriction=ident,
-        lift=ident,
-        t_gram=g.gram,
-        k_simple_roots=(),
-        k_coroot_functionals=(),
-        k_positive_roots=(),
-        rho=zero(g.rank),
-        restricted_positive=g.positive_roots,
-        embedding_kind="cartan",
-    )
+    return _pair(g, g.simple_roots, (), (), "cartan")
 
 
 def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
     """Levi subalgebra generated by a subset of simple roots (1-based
-    indices); the empty subset degenerates to the Cartan pair."""
+    indices), with the Cartan-matrix columns as coroots; the empty subset
+    degenerates to the Cartan pair."""
     for i in simple_subset:
         if not 1 <= i <= g.rank:
             raise ValueError(f"simple-root index {i} outside 1..{g.rank}")
     indices = sorted(i - 1 for i in simple_subset)
-    ident = identity(g.rank)
-    k_simple = tuple(g.simple_roots[i] for i in indices)
-    functionals = tuple(
-        tuple(g.cartan[j][i] for j in range(g.rank)) for i in indices
-    )
-    support = set(indices)
-    k_positive = tuple(
-        r for r in g.positive_roots
-        if all(c == 0 for j, c in enumerate(r) if j not in support)
-    )
-    rho = WeightMultiset({r: 1 for r in k_positive}, rank=g.rank).half_sum() \
-        if k_positive else zero(g.rank)
-    return ReductivePair(
-        g=g,
-        rank_t=g.rank,
-        restriction=ident,
-        lift=ident,
-        t_gram=g.gram,
-        k_simple_roots=k_simple,
-        k_coroot_functionals=functionals,
-        k_positive_roots=k_positive,
-        rho=rho,
-        restricted_positive=g.positive_roots,
-        embedding_kind="levi",
-    )
+    return _pair(g, g.simple_roots, tuple(g.simple_roots[i] for i in indices),
+                 tuple(tuple(row[i] for row in g.cartan) for i in indices), "levi")
 
 
 def make_explicit_pair(g: RootSystem, restriction: Matrix,
@@ -255,8 +252,6 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
     rank_t = len(restriction)
     if rank_t == 0 or any(len(row) != g.rank for row in restriction):
         raise ValueError(f"restriction must be rank_t x {g.rank}")
-    lift, t_gram = _orthogonal_section(g, restriction)
-
     k_simple = tuple(weight(s) for s in k_simple_roots)
     functionals = tuple(tuple(Fraction(x) for x in f) for f in k_coroot_functionals)
     if len(k_simple) != len(functionals):
@@ -267,26 +262,7 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
     for f in functionals:
         if len(f) != rank_t:
             raise ValueError(f"coroot functional {fmt(f)} has wrong rank")
-
-    n_k = len(k_simple)
-    cartan_k = tuple(
-        tuple(sum(a * b for a, b in zip(functionals[j], k_simple[i]))
-              for j in range(n_k))
-        for i in range(n_k)
-    )
-    for i in range(n_k):
-        for j in range(n_k):
-            v = cartan_k[i][j]
-            if v.denominator != 1:
-                raise ValueError(
-                    f"non-integral coroot pairing {v} between k-simple roots "
-                    f"{fmt(k_simple[i])} and {fmt(k_simple[j])}"
-                )
-            if i == j and v != 2:
-                raise ValueError(f"k-simple root {fmt(k_simple[i])} pairs to {v} != 2 "
-                                 "with its own coroot")
-            if i != j and v > 0:
-                raise ValueError("positive off-diagonal Cartan entry in k root data")
+    pair = _pair(g, restriction, k_simple, functionals, "explicit")
 
     # each reflection x -> x - f(x) sigma must preserve the induced form
     # (true for any genuine embedding, where ker f is orthogonal to sigma);
@@ -297,40 +273,12 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
                   for b in range(rank_t))
             for a in range(rank_t)
         )
-        if mat_mul(transpose(refl), mat_mul(t_gram, refl)) != t_gram:
+        if mat_mul(transpose(refl), mat_mul(pair.t_gram, refl)) != pair.t_gram:
             raise ValueError(
                 f"coroot functional {fmt(f)} for k-simple root {fmt(sigma)} does not "
                 f"act by an isometry of the induced form"
             )
-
-    if n_k:
-        abstract = positive_roots_from_cartan(cartan_k,
-                                              max_roots=2 * len(g.positive_roots))
-        k_positive = []
-        for coeffs in abstract:
-            root = zero(rank_t)
-            for c, s in zip(coeffs, k_simple):
-                root = tuple(a + c * b for a, b in zip(root, s))
-            k_positive.append(root)
-    else:
-        k_positive = []
-    ms: dict[Weight, int] = {}
-    for root in k_positive:
-        ms[root] = ms.get(root, 0) + 1
-    pair = ReductivePair(
-        g=g,
-        rank_t=rank_t,
-        restriction=restriction,
-        lift=lift,
-        t_gram=t_gram,
-        k_simple_roots=k_simple,
-        k_coroot_functionals=functionals,
-        k_positive_roots=tuple(k_positive),
-        rho=WeightMultiset(ms, rank=rank_t).half_sum(),
-        restricted_positive=_restrict_positive(g, restriction),
-        embedding_kind="explicit",
-    )
-    for root in k_positive:
+    for root in pair.k_positive_roots:
         if root not in pair.delta_t:
             raise ValueError(
                 f"k-positive root {fmt(root)} is not the restriction of any root"

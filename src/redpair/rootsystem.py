@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .linalg import Matrix, inverse, mat_vec, to_integers
-from .weights import FractionTable, Weight, add, fmt, scale, zero
+from .weights import FractionTable, Weight, WeightMultiset, add, fmt
 
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
@@ -444,10 +444,7 @@ def weyl_dim_from_roots(positive_roots: list[Weight],
     """
     if not positive_roots:
         return 1
-    rho = zero(len(positive_roots[0]))
-    for a in positive_roots:
-        rho = add(rho, a)
-    rho = scale(Fraction(1, 2), rho)
+    rho = WeightMultiset((a, 1) for a in positive_roots).half_sum()
     value = Fraction(1)
     shifted = add(highest, rho)
     for a in positive_roots:

@@ -8,6 +8,7 @@ fixes; both are plain ``Weight`` tuples and all arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -124,10 +125,13 @@ class WeightMultiset:
         return self.entries.get(w, 0)
 
     def half_sum(self) -> Weight:
-        total = zero(self.rank)
-        for w, m in self.entries.items():
-            total = add(total, scale(m, w))
-        return scale(Fraction(1, 2), total)
+        """Half the multiplicity-weighted sum, one coordinate at a time in
+        integers scaled by the common denominator D of all coordinates."""
+        den = math.lcm(*(c.denominator for w in self.entries for c in w))
+        scaled = [(m, [c.numerator * (den // c.denominator) for c in w])
+                  for w, m in self.entries.items()]
+        return tuple(Fraction(sum([m * w[i] for m, w in scaled]), 2 * den)
+                     for i in range(self.rank))
 
     def contains(self, other: "WeightMultiset") -> bool:
         """Submultiset test: every multiplicity of ``other`` fits inside."""

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -319,6 +320,20 @@ command = pair-info
         assert "cap of 51839 elements" in err
     else:
         assert len(json.loads(out)["pair"]["k_positive_roots"]) == 36
+
+
+def test_full_e8_levi_fundseries_hits_the_default_cap_at_once(tmp_path):
+    # |W(E8)| = 696729600 exceeds the default cap of kostant_weights; the
+    # job must exit 4 without walking (and storing) a million orbit points
+    cfg = write_config(tmp_path, "lie_type = E8\nk = levi\nnodes = [1, 2, 3, 4, 5, 6, 7, 8]\n"
+                                 "command = fundseries\nnu = [0, 0, 0, 0, 0, 0, 0, 0]\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-m", "redpair.cli", "--config", cfg,
+                          "--emit", "machine"], capture_output=True, text=True,
+                         timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 4
+    assert run.stdout == ""
+    assert "cap of 1000000 elements" in run.stderr
 
 
 @pytest.mark.parametrize("source", ["flag", "key"])

@@ -18,7 +18,7 @@ from redpair.fundseries import (
 from redpair.genericity import norm2_shifted
 from redpair.parabolic import compatible_parabolic
 from redpair.reductive import make_cartan_pair, make_levi_pair, make_sl2_pair
-from redpair.rootsystem import build_root_system, weyl_group
+from redpair.rootsystem import CapExceeded, build_root_system, weyl_group
 from redpair.weights import WeightMultiset, add, scale, sub, vec, zero
 
 
@@ -134,6 +134,18 @@ def test_kostant_weights_full_levi():
     expected = {tuple(sub(w.apply(g.rho_tilde), g.rho_tilde)) for w in weyl_group(g)}
     assert {e[1] for e in entries} == expected
     assert (0, zero(2)) in entries
+
+
+def test_kostant_weights_refuses_a_large_weyl_group_before_walking(monkeypatch):
+    # |W(A4)| = 120 > 100: the order is read off the k-root heights, so
+    # the orbit walk must never start
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the orbit walk ran")
+
+    monkeypatch.setattr("redpair.fundseries.reflection_orbit", no_walk)
+    p = make_levi_pair(build_root_system("A4"), {1, 2, 3, 4})
+    with pytest.raises(CapExceeded, match="cap of 100 elements"):
+        kostant_weights(p, zero(4), max_weyl=100)
 
 
 def test_euler_multiplicity_examples(a2_setup):

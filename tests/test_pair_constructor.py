@@ -1,0 +1,135 @@
+"""The one pair constructor of ``redpair.reductive`` against the four
+factories that filled every field by hand (``pair_oracle``), and Levi
+pairs re-entered as explicit embedding data against the Levi pairs."""
+
+import dataclasses
+import itertools
+import json
+import re
+
+import pytest
+
+import pair_oracle
+from redpair.cli import main
+from redpair.linalg import identity
+from redpair.reductive import (
+    ReductivePair,
+    make_cartan_pair,
+    make_explicit_pair,
+    make_levi_pair,
+    make_sl2_pair,
+)
+from redpair.rootsystem import build_root_system
+from redpair.weights import vec
+
+LEVI_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
+              "A1xA1"]
+SL2_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "G2"]
+
+
+def assert_same_pair(new, old):
+    # tuples compare in order, so the order of k_positive_roots is checked too
+    for field in dataclasses.fields(ReductivePair):
+        assert getattr(new, field.name) == getattr(old, field.name), field.name
+    assert new.k_weyl_order() == len(old.k_weyl_group())
+
+
+def assert_same_error(build, build_oracle):
+    with pytest.raises(ValueError) as old:
+        build_oracle()
+    with pytest.raises(ValueError, match="^" + re.escape(str(old.value)) + "$"):
+        build()
+
+
+def levi_subsets(g):
+    nodes = range(1, g.rank + 1)
+    return [set(s) for size in range(g.rank + 1) for s in itertools.combinations(nodes, size)]
+
+
+@pytest.mark.parametrize("name", LEVI_TYPES)
+def test_levi_and_cartan_pairs_match_the_oracle(name):
+    g = build_root_system(name)
+    for nodes in levi_subsets(g):
+        assert_same_pair(make_levi_pair(g, nodes), pair_oracle.make_levi_pair(g, nodes))
+    assert_same_pair(make_cartan_pair(g), pair_oracle.make_cartan_pair(g))
+
+
+@pytest.mark.parametrize("name", SL2_TYPES)
+def test_sl2_pairs_match_the_oracle(name):
+    g = build_root_system(name)
+    for labels in itertools.product((0, 1, 2), repeat=g.rank):
+        if any(labels):
+            assert_same_pair(make_sl2_pair(g, list(labels)),
+                             pair_oracle.make_sl2_pair(g, list(labels)))
+
+
+def test_explicit_pairs_match_the_oracle():
+    a2 = build_root_system("A2")
+    good = [([[2, 2]], [vec(2)], [(1,)]),
+            (identity(2), [], []),
+            (identity(2), [vec(1, 0)], [(2, -1)])]
+    for args in good:
+        assert_same_pair(make_explicit_pair(a2, *args),
+                         pair_oracle.make_explicit_pair(a2, *args))
+    bad = [([[2, 2]], [vec(3)], [("2/3",)]),
+           ([[1, 1], [2, 2]], [], []),
+           ([[2, 2]], [vec(2)], [("1/3",)]),
+           ([[2, 2]], [vec(2)], [(2,)]),
+           (identity(2), [vec(1, 0), vec(0, 1)], [(2, 1), (1, 2)]),
+           (identity(2), [vec(1, 0)], [(2, 17)])]
+    for args in bad:
+        assert_same_error(lambda: make_explicit_pair(a2, *args),
+                          lambda: pair_oracle.make_explicit_pair(a2, *args))
+
+
+def test_factory_errors_match_the_oracle():
+    a2 = build_root_system("A2")
+    for labels in ([3, 0], [0, 0], [2]):
+        assert_same_error(lambda: make_sl2_pair(a2, labels),
+                          lambda: pair_oracle.make_sl2_pair(a2, labels))
+    for nodes in ({0}, {3}):
+        assert_same_error(lambda: make_levi_pair(a2, nodes),
+                          lambda: pair_oracle.make_levi_pair(a2, nodes))
+
+
+def _vec(values):
+    return "[" + ", ".join(str(v) for v in values) + "]"
+
+
+def _documents(tmp_path, capsys, lines, rank):
+    """The machine documents of pair-info and of parabolic at mu = 0."""
+    out = {}
+    for verb, extra in (("pair-info", []), ("parabolic", ["mu = " + _vec([0] * rank)])):
+        path = tmp_path / "job.cfg"
+        path.write_text("\n".join(lines + extra) + "\n", encoding="utf-8")
+        assert main(["--config", str(path), "--emit", "machine", verb]) == 0
+        out[verb] = json.loads(capsys.readouterr().out)
+    return out
+
+
+@pytest.mark.parametrize("name", LEVI_TYPES)
+def test_levi_pairs_reentered_as_explicit_give_the_same_documents(name, tmp_path, capsys):
+    # identity restriction, the chosen simple roots, and the Cartan-matrix
+    # columns as coroots
+    g = build_root_system(name)
+    rows = [[int(i == j) for j in range(g.rank)] for i in range(g.rank)]
+    for nodes in levi_subsets(g):
+        chosen = sorted(nodes)
+        simple = [rows[i - 1] for i in chosen]
+        coroots = [[g.cartan[j][i - 1] for j in range(g.rank)] for i in chosen]
+        explicit = make_explicit_pair(g, rows, [vec(*s) for s in simple], coroots)
+        assert_same_pair(explicit, pair_oracle.make_explicit_pair(
+            g, rows, [vec(*s) for s in simple], coroots))
+
+        levi = _documents(tmp_path, capsys, [
+            f"lie_type = {name}", "k = levi", "nodes = " + _vec(chosen)], g.rank)
+        reentered = _documents(tmp_path, capsys, [
+            f"lie_type = {name}", "k = explicit",
+            "restriction = " + _vec(_vec(r) for r in rows),
+            "k_simple_roots = " + _vec(_vec(s) for s in simple),
+            "k_coroots = " + _vec(_vec(c) for c in coroots)], g.rank)
+        for docs, kind in ((levi, "levi"), (reentered, "explicit")):
+            for doc in docs.values():
+                assert doc["job"].pop("k") == kind
+            assert docs["pair-info"]["pair"].pop("embedding") == kind
+        assert levi == reentered
