@@ -4,28 +4,19 @@ and k-type multiplicity tables of cohomologically induced series."""
 
 from .fundseries import (
     InducingModule,
-    InfinitesimalCharacter,
     MinimalKTypeReport,
     MultiplicityTable,
     PartitionCounter,
-    dominant_representative,
     euler_multiplicity,
     inducing_module,
     infinitesimal_character,
     kostant_terms,
     kostant_weights,
     ktype_table,
-    partition_count,
     series_parabolic,
     verify_minimal_ktype,
 )
-from .genericity import (
-    GenericityReport,
-    is_generic,
-    minimal_ktype,
-    norm2_shifted,
-    sl2_threshold,
-)
+from .genericity import GenericityReport, is_generic, norm2_shifted, sl2_threshold
 from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular, split_roots
 from .reductive import (
     ReductivePair,
@@ -43,14 +34,13 @@ from .rootsystem import (
     weyl_dim,
     weyl_group,
 )
-from .weights import Weight, WeightMultiset, half_sum, vec, weight
+from .weights import Weight, WeightMultiset, vec, weight
 
 __all__ = [
     "CapExceeded",
     "CompatibleParabolic",
     "GenericityReport",
     "InducingModule",
-    "InfinitesimalCharacter",
     "LieType",
     "MinimalKTypeReport",
     "MultiplicityTable",
@@ -62,9 +52,7 @@ __all__ = [
     "WeylElement",
     "build_root_system",
     "compatible_parabolic",
-    "dominant_representative",
     "euler_multiplicity",
-    "half_sum",
     "inducing_module",
     "infinitesimal_character",
     "is_generic",
@@ -76,9 +64,7 @@ __all__ = [
     "make_explicit_pair",
     "make_levi_pair",
     "make_sl2_pair",
-    "minimal_ktype",
     "norm2_shifted",
-    "partition_count",
     "series_parabolic",
     "sl2_threshold",
     "split_roots",

@@ -6,7 +6,7 @@ nonzero denominator, like ``5`` or ``3/2``, and bracketed arrays, nested
 once for matrices and refused deeper; decimals, exponents and
 underscores are rejected so that exactness survives the I/O boundary).
 The command verb comes from the command line or from a ``command`` key
-in the config.
+in the config.  A key that no verb reads is refused.
 
 Verbs: pair-info, parabolic, generic-check, sl2-threshold, fundseries,
 verify.  Output is a human-readable report, a machine-readable JSON
@@ -46,6 +46,10 @@ from .weights import Weight, WeightMultiset, add, scale
 
 COMMANDS = ("pair-info", "parabolic", "generic-check", "sl2-threshold",
             "fundseries", "verify")
+
+CONFIG_KEYS = ("lie_type", "k", "labels", "nodes", "restriction", "k_simple_roots",
+               "k_coroots", "command", "mu", "lambda", "nu", "nu_basis", "cutoff",
+               "max_weyl")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -144,7 +148,7 @@ def _require(job: dict, key: str):
 def _as_int(value, key: str) -> int:
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
-    raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    raise ConfigError(f"config key {key!r} must be an integer, got {_fmt(_ser(value))}")
 
 
 def _is_array(value, depth: int = 1) -> bool:
@@ -158,13 +162,22 @@ def _require_array(job: dict, key: str, depth: int = 1) -> list:
     value = _require(job, key)
     if not _is_array(value, depth):
         shape = "an array of " + "arrays of " * (depth - 1) + "rationals"
-        raise ConfigError(f"config key {key!r} must be {shape}, got {value!r}")
+        raise ConfigError(f"config key {key!r} must be {shape}, got {_fmt(_ser(value))}")
+    return value
+
+
+def _word(job: dict, key: str, default: str | None = None) -> str:
+    """A bare-word value; a missing key gives the default, or is refused
+    when there is none."""
+    value = _require(job, key) if default is None else job.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a word, got {_fmt(_ser(value))}")
     return value
 
 
 def build_pair(job: dict) -> ReductivePair:
-    g = build_root_system(str(_require(job, "lie_type")))
-    kind = str(_require(job, "k"))
+    g = build_root_system(_word(job, "lie_type"))
+    kind = _word(job, "k")
     if kind == "sl2":
         labels = [_as_int(v, "labels") for v in _require_array(job, "labels")]
         return make_sl2_pair(g, labels)
@@ -207,7 +220,7 @@ def _as_gweight(value, p: ReductivePair, job: dict) -> Weight:
         if len(value) != p.g.rank:
             raise ConfigError(f"nu must have {p.g.rank} coordinates")
         nu = tuple(value)
-        basis = str(job.get("nu_basis", "simple"))
+        basis = _word(job, "nu_basis", "simple")
         if basis == "fundamental":
             return p.g.from_fundamental(nu)
         if basis == "simple":
@@ -389,7 +402,7 @@ def run_job(job: dict, args) -> dict:
         doc["character"] = {
             "nu": _ser(e.nu),
             "omega": _ser(e.omega),
-            "representative": _ser(infinitesimal_character(p.g, e).representative),
+            "representative": _ser(infinitesimal_character(p.g, e)),
         }
         if command == "verify":
             report = verify_minimal_ktype(table, e, p)
@@ -470,15 +483,18 @@ def main(argv: list[str] | None = None) -> int:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {args.config!r} is not valid UTF-8: {exc}") from None
         job = parse_config(text)
+        for key in job:
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
         if args.command is None:
             if "command" not in job:
                 raise ConfigError("no command verb given on the command line "
                                   "or in the config")
-            verb = str(job["command"])
+            verb = _word(job, "command")
             if verb not in COMMANDS:
                 raise ConfigError(f"unknown command {verb!r} in config")
             args.command = verb
-        elif "command" in job and str(job["command"]) != args.command:
+        elif "command" in job and _word(job, "command") != args.command:
             raise ConfigError(
                 f"command line says {args.command!r} but config says "
                 f"{job['command']!r}"

@@ -37,7 +37,7 @@ from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular
 from .reductive import ReductivePair
 from .rootsystem import (CapExceeded, RootSystem, fold_dominant, reflection_orbit,
                          weyl_dim_from_roots)
-from .weights import Weight, WeightMultiset, add, fmt, scale, sub, zero
+from .weights import Weight, WeightMultiset, add, fmt, scale, sub, to_integers, zero
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,12 @@ class PartitionCounter:
             raise ValueError(f"expected generators of rank {self.rank}, "
                              f"got rank {generators.rank}")
         self._check_rank(grading)
-        ell = mat_vec(transpose(p.t_gram), grading)     # ell . y = t_pair(grading, y)
-        self._ell = _integral(ell, math.lcm(*(c.denominator for c in ell)))
+        # ell . y = t_pair(grading, y)
+        (self._ell,), _ = to_integers([mat_vec(transpose(p.t_gram), grading)])
         support = generators.support()
-        self._scale = math.lcm(*(c.denominator for b in support for c in b))
+        scaled, self._scale = to_integers(support)
         self._generators: list[tuple[tuple[int, ...], int, int]] = []
-        for b in support:
-            beta = _integral(b, self._scale)
+        for b, beta in zip(support, map(tuple, scaled)):
             step = self._level(beta)
             if step <= 0:
                 raise ValueError(
@@ -190,17 +189,6 @@ class PartitionCounter:
         return total
 
 
-def _integral(x: Weight, scale: int) -> tuple[int, ...]:
-    """The coordinates of scale * x, which must be integers."""
-    return tuple((c * scale).numerator for c in x)
-
-
-def partition_count(p: ReductivePair, generators: WeightMultiset,
-                    target: Weight, grading: Weight) -> int:
-    """One-shot vector partition count; see PartitionCounter."""
-    return PartitionCounter(p, generators, grading).count(target)
-
-
 def kostant_weights(p: ReductivePair, delta: Weight,
                     max_weyl: int | None = 1_000_000) -> list[tuple[int, Weight]]:
     """The weights w(delta + rho) - rho of the nilradical cohomology of a
@@ -211,8 +199,7 @@ def kostant_weights(p: ReductivePair, delta: Weight,
         raise ValueError(f"delta is not dominant integral: {defect}")
     if max_weyl is not None and p.k_weyl_order() > max_weyl:
         raise CapExceeded(f"reflection group exceeds the cap of {max_weyl} elements")
-    orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots,
-                             p.coroot_pairing, max_weyl)
+    orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots, p.coroot_pairing)
     return sorted((len(word), sub(y, p.rho)) for word, y in orbit)
 
 
@@ -335,23 +322,10 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
                              r=parab.r, mu=e.mu, dim_e=e.dim_e)
 
 
-@dataclass(frozen=True)
-class InfinitesimalCharacter:
-    """Central character labeled by the dominant representative of the
-    Weyl orbit of nu + the ambient Weyl vector."""
-
-    representative: Weight
-
-
-def dominant_representative(rs: RootSystem, x: Weight) -> Weight:
-    """The unique weakly dominant point of the Weyl orbit of x."""
-    return fold_dominant(x, rs.simple_roots, rs.coroot_pairing)
-
-
-def infinitesimal_character(rs: RootSystem, e: InducingModule) -> InfinitesimalCharacter:
-    return InfinitesimalCharacter(
-        representative=dominant_representative(rs, add(e.nu, rs.rho_tilde))
-    )
+def infinitesimal_character(rs: RootSystem, e: InducingModule) -> Weight:
+    """The central character, labeled by the dominant point of the Weyl
+    orbit of nu + the ambient Weyl vector."""
+    return fold_dominant(add(e.nu, rs.rho_tilde), rs.simple_roots, rs.coroot_pairing)
 
 
 @dataclass(frozen=True)
@@ -362,8 +336,6 @@ class MinimalKTypeReport:
     minimal_entry_ok: bool
     unique_minimum_ok: bool
     nonnegative_ok: bool
-    mu: Weight
-    dim_e: int
 
     @property
     def all_ok(self) -> bool:
@@ -384,6 +356,4 @@ def verify_minimal_ktype(table: MultiplicityTable, e: InducingModule,
         minimal_entry_ok=minimal_entry_ok,
         unique_minimum_ok=unique_minimum_ok,
         nonnegative_ok=nonnegative_ok,
-        mu=e.mu,
-        dim_e=e.dim_e,
     )

@@ -50,28 +50,13 @@ from fractions import Fraction
 
 from .parabolic import is_regular, split_roots
 from .reductive import ReductivePair
-from .weights import Weight, WeightMultiset, add, fmt, scale, sub
+from .weights import Weight, WeightMultiset, add, scale, sub, to_integers
 
 
 def norm2_shifted(p: ReductivePair, mu: Weight) -> Fraction:
     """Squared length of mu + 2 rho in the induced form."""
     shifted = add(mu, scale(2, p.rho))
     return p.t_pair(shifted, shifted)
-
-
-def minimal_ktype(p: ReductivePair, candidates: list[Weight]) -> Weight:
-    """The candidate minimizing the shifted squared length.
-
-    Ties break lexicographically on coordinates, so the result is
-    deterministic.  Every candidate must be dominant integral.
-    """
-    if not candidates:
-        raise ValueError("empty candidate list")
-    for mu in candidates:
-        defect = p.dominance_defect(mu)
-        if defect is not None:
-            raise ValueError(f"candidate {fmt(mu)} is not dominant integral: {defect}")
-    return min(candidates, key=lambda mu: (norm2_shifted(p, mu), mu))
 
 
 class _Condition2Search:
@@ -126,10 +111,9 @@ class _Condition2Search:
         """Multiplicity vector of the rank-one witness, None when there is
         no violation: S fails iff |2 rho_S| >= |2 c|, and the weights are
         sorted by decreasing absolute value.  The sums are scaled to int."""
-        denom = math.lcm(self.c[0].denominator,
-                         *(b[0].denominator for b in self.weights))
-        goal = int(2 * abs(self.c[0]) * denom)
-        sizes = [int(abs(b[0]) * denom) for b in self.weights]
+        scaled, _ = to_integers([[2 * abs(self.c[0])]
+                                 + [abs(b[0]) for b in self.weights]])
+        goal, *sizes = scaled[0]
         # prefix[j]: sum of the j largest copies; start[i]: copies before index i
         prefix = [0]
         start = [0]

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .weights import FractionTable
+from .weights import FractionTable, to_integers
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -24,12 +23,6 @@ def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     if a and len(a[0]) != len(v):
         raise ValueError(f"matrix is {len(a)}x{len(a[0])}, vector has length {len(v)}")
     return tuple(sum(r * x for r, x in zip(row, v)) for row in a)
-
-
-def to_integers(a: Matrix) -> tuple[list[list[int]], int]:
-    """The entries of a scaled by their common denominator D, as ints, and D."""
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import Matrix, inverse, mat_vec, to_integers
-from .weights import FractionTable, Weight, WeightMultiset, add, fmt
+from .linalg import Matrix, inverse, mat_vec
+from .weights import FractionTable, Weight, WeightMultiset, add, fmt, to_integers
 
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
@@ -171,33 +171,17 @@ class RootSystem:
         inv = inverse(tuple(zip(*self.cartan)))
         return mat_vec(inv, coords)
 
-    def to_fundamental(self, x: Weight) -> Weight:
-        return tuple(self.coroot_pairing(x, i) for i in range(self.rank))
 
-
-def positive_roots_from_cartan(cartan: Matrix,
-                               max_roots: int | None = None) -> list[Weight]:
-    """Closure of the simple roots under root-string addition.
+def _root_closure(a: list[list[int]],
+                  max_roots: int | None = None) -> list[tuple[int, ...]]:
+    """The positive roots of an integer Cartan matrix: the closure of the
+    simple roots under root-string addition.
 
     Works level by level in height; beta + alpha_i is a root iff the
     alpha_i-string through beta satisfies p - <beta, alpha_i-coroot> > 0,
     where p is the largest k with beta - k alpha_i a root.  Roots come
-    out in simple-root coordinates, ordered by height.  The walk runs on
-    integer tuples, so every Cartan entry must be an integer.
+    out as int tuples in simple-root coordinates, ordered by height.
     """
-    for i, row in enumerate(cartan):
-        for j, v in enumerate(row):
-            if v.denominator != 1:
-                raise ValueError(f"Cartan entry {v} at ({i + 1}, {j + 1}) "
-                                 f"is not an integer")
-    a = [[int(v) for v in row] for row in cartan]
-    return [tuple(Fraction(c) for c in r) for r in _root_closure(a, max_roots)]
-
-
-def _root_closure(a: list[list[int]],
-                  max_roots: int | None = None) -> list[tuple[int, ...]]:
-    """The positive roots of an integer Cartan matrix as int tuples,
-    ordered by height; see positive_roots_from_cartan."""
     rank = len(a)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
 
@@ -228,15 +212,15 @@ def _root_closure(a: list[list[int]],
     return [r for lev in all_levels for r in sorted(lev)]
 
 
-def weyl_group_order(cartan: Matrix) -> int:
+def weyl_group_order(cartan: list[list[int]]) -> int:
     """|W| = prod (e_i + 1) over the exponents e_i, read off the heights of
     the positive roots: N_h - N_{h+1} exponents equal h, where N_h counts
     the roots of height h (Kostant, Amer. J. Math. 81 (1959); Humphreys,
     Reflection Groups and Coxeter Groups, 3.20).  Products need no special
     case, and the empty matrix gives 1."""
     heights: dict[int, int] = {}
-    for root in positive_roots_from_cartan(cartan):
-        h = int(sum(root))
+    for root in _root_closure(cartan):
+        h = sum(root)
         heights[h] = heights.get(h, 0) + 1
     order = 1
     for h, count in heights.items():
@@ -272,18 +256,16 @@ def build_root_system(t: LieType | str) -> RootSystem:
             f"expected {expected}"
         )
 
-    # one Fraction per distinct integer
-    ints = {v: Fraction(v) for v in {c for r in roots for c in r}
-            | {c for row in a for c in row} | {0, 1}}
+    fractions = FractionTable(1)
     total = [sum(column) for column in zip(*roots)]
 
     return RootSystem(
         lie_type=lie_type,
         gram=tuple(tuple(row) for row in gram),
-        cartan=tuple(tuple(ints[v] for v in row) for row in a),
-        simple_roots=tuple(tuple(ints[int(j == i)] for j in range(rank))
+        cartan=tuple(tuple(fractions[v] for v in row) for row in a),
+        simple_roots=tuple(tuple(fractions[int(j == i)] for j in range(rank))
                            for i in range(rank)),
-        positive_roots=tuple(tuple(ints[c] for c in r) for r in roots),
+        positive_roots=tuple(tuple(fractions[c] for c in r) for r in roots),
         rho_tilde=tuple(Fraction(t, 2) for t in total),
     )
 
@@ -325,10 +307,9 @@ def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
                 raise ValueError(f"coroot pairing {v} of simple roots {i + 1} and "
                                  f"{j + 1} is not an integer")
     cartan = [[int(v) for v in row] for row in cartan]
-    scale = math.lcm(*(c.denominator for c in pairings))
-    start = tuple(c.numerator * (scale // c.denominator) for c in pairings)
+    (start,), scale = to_integers([pairings])
     nodes = [((), (0,) * n)]
-    level = {start: nodes[0]}
+    level = {tuple(start): nodes[0]}
     while level:
         nxt: dict = {}
         for c, (word, a) in level.items():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 Weight = tuple[Fraction, ...]
 
@@ -52,6 +52,13 @@ class FractionTable(dict):
     def __missing__(self, numerator: int) -> Fraction:
         value = self[numerator] = Fraction(numerator, self.denominator)
         return value
+
+
+def to_integers(a: Collection[Weight]) -> tuple[list[list[int]], int]:
+    """The entries of the rows of a scaled by their common denominator D,
+    as ints, and D."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def zero(rank: int) -> Weight:
@@ -127,9 +134,8 @@ class WeightMultiset:
     def half_sum(self) -> Weight:
         """Half the multiplicity-weighted sum, one coordinate at a time in
         integers scaled by the common denominator D of all coordinates."""
-        den = math.lcm(*(c.denominator for w in self.entries for c in w))
-        scaled = [(m, [c.numerator * (den // c.denominator) for c in w])
-                  for w, m in self.entries.items()]
+        rows, den = to_integers(self.entries)
+        scaled = list(zip(self.entries.values(), rows))
         return tuple(Fraction(sum([m * w[i] for m, w in scaled]), 2 * den)
                      for i in range(self.rank))
 
@@ -172,7 +178,3 @@ class WeightMultiset:
         body = ", ".join(f"{w}: {m}" for w, m in sorted(self.entries.items()))
         return f"WeightMultiset({{{body}}}, rank={self.rank})"
 
-
-def half_sum(ms: WeightMultiset) -> Weight:
-    """Half the multiplicity-weighted sum; the empty multiset gives zero."""
-    return ms.half_sum()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from redpair.linalg import Matrix, identity, mat_mul, to_integers, transpose
 from redpair.reductive import ReductivePair, _orthogonal_section
-from redpair.rootsystem import RootSystem, positive_roots_from_cartan
+from redpair.rootsystem import RootSystem, _root_closure
 from redpair.weights import FractionTable, Weight, WeightMultiset, fmt, weight, zero
 
 
@@ -177,8 +177,8 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
             )
 
     if n_k:
-        abstract = positive_roots_from_cartan(cartan_k,
-                                              max_roots=2 * len(g.positive_roots))
+        abstract = _root_closure([[int(v) for v in row] for row in cartan_k],
+                                 max_roots=2 * len(g.positive_roots))
         k_positive = []
         for coeffs in abstract:
             root = zero(rank_t)

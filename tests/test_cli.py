@@ -434,6 +434,32 @@ mu = 3
     assert code == 2
 
 
+def test_unknown_config_key_is_parse_error(tmp_path, capsys):
+    # a misspelt cutoff must not fall back to the default cutoff
+    cfg = write_config(tmp_path, A2_FUNDSERIES.replace("cutoff", "cutof"))
+    code, out, err = run_main(capsys, ["--config", cfg])
+    assert code == 2
+    assert err == "parse error: unknown config key 'cutof'\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lie_type = A2\nk = levi\nnodes = 1\n",
+     "config key 'nodes' must be an array of rationals, got 1"),
+    ("lie_type = A2\nk = levi\nnodes = [1]\nmax_weyl = 1/2\n",
+     "config key 'max_weyl' must be an integer, got 1/2"),
+    ("lie_type = A2\nk = [1]\n", "config key 'k' must be a word, got [1]"),
+    ("lie_type = [1]\nk = cartan\n", "config key 'lie_type' must be a word, got [1]"),
+], ids=["nodes", "max_weyl", "k", "lie_type"])
+def test_parse_messages_print_values_as_written(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_main(capsys, ["pair-info", "--config", cfg])
+    assert code == 2
+    assert err == f"parse error: {message}\n"
+    assert "Fraction(" not in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism and human/machine agreement
 

@@ -1,0 +1,86 @@
+"""Property test of the CLI's exit codes: a valid job with one key
+replaced, dropped or added ends in 0, 2, 3 or 4, and a failure is reported
+on one line of stderr with its values written as rationals."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+from redpair.cli import COMMANDS, CONFIG_KEYS, main
+
+# (config, cutoff flag): one valid job per verb, over A1, A2, B2, G2, A1xA1
+TEMPLATES = [
+    ({"lie_type": "A2", "k": "sl2", "labels": "[2, 2]", "command": "fundseries",
+      "nu": "-3"}, "169/8"),
+    ({"lie_type": "B2", "k": "sl2", "labels": "[2, 2]", "command": "verify",
+      "nu": "-6"}, "64/5"),
+    ({"lie_type": "A2", "k": "levi", "nodes": "[1]", "command": "verify",
+      "nu": "[0, 0]", "nu_basis": "fundamental"}, "20"),
+    ({"lie_type": "G2", "k": "sl2", "labels": "[2, 2]", "command": "generic-check",
+      "mu": "5"}, "20"),
+    ({"lie_type": "A1xA1", "k": "cartan", "command": "parabolic",
+      "lambda": "[1, 2]"}, "20"),
+    ({"lie_type": "A1", "k": "sl2", "labels": "[2]", "command": "sl2-threshold"}, "20"),
+    ({"lie_type": "A2", "k": "explicit", "restriction": "[[2, 2]]",
+      "k_simple_roots": "[[2]]", "k_coroots": "[[1]]", "command": "pair-info"}, "20"),
+    ({"lie_type": "B2", "k": "levi", "nodes": "[2]", "command": "parabolic",
+      "mu": "[1, 1]", "max_weyl": "2"}, "20"),
+]
+
+NUMBERS = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(1, 6)),
+)
+WORDS = st.sampled_from(["A1", "A2", "B2", "G2", "A1xA1", "A0", "sl2", "levi", "cartan",
+                         "explicit", "simple", "fundamental", "foo", *COMMANDS])
+ARRAYS = st.lists(NUMBERS, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+NESTED = st.lists(ARRAYS, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+VALUES = st.one_of(NUMBERS, WORDS, ARRAYS, NESTED)
+KEYS = st.sampled_from(CONFIG_KEYS + ("cutof", "matrix"))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli") / "job.cfg"
+
+
+def test_templates_succeed(config_path):
+    for job, cutoff in TEMPLATES:
+        code, _, err = run(config_path, job, cutoff)
+        assert code == 0, err
+
+
+def run(path, job, cutoff):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in job.items()), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--max-weyl", "100", "--cutoff", cutoff,
+                     "--emit", "machine"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(template=st.sampled_from(TEMPLATES), edit=st.sampled_from(["replace", "drop", "add"]),
+       pick=st.integers(0, 10), key=KEYS, value=VALUES)
+def test_one_key_edit_ends_in_a_documented_exit_code(config_path, template, edit, pick,
+                                                     key, value):
+    job, cutoff = template
+    job = dict(job)
+    if edit == "add":
+        job[key] = value
+    else:
+        chosen = list(job)[pick % len(job)]
+        if edit == "drop":
+            del job[chosen]
+        else:
+            job[chosen] = value
+    code, out, err = run(config_path, job, cutoff)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), err
+    if code != 0:
+        assert out == ""
+        assert err.endswith("\n") and "\n" not in err[:-1], err
+        assert "Fraction(" not in err, err

@@ -7,7 +7,6 @@ import pytest
 from redpair.genericity import (
     _Condition2Search,
     is_generic,
-    minimal_ktype,
     norm2_shifted,
     sl2_threshold,
 )
@@ -52,17 +51,6 @@ def test_norm2_shifted(a2_principal):
     cartan = make_cartan_pair(build_root_system("A2"))
     x = vec(1, "1/2")
     assert norm2_shifted(cartan, x) == cartan.t_pair(x, x)
-
-
-def test_minimal_ktype(a2_principal):
-    p = a2_principal
-    assert minimal_ktype(p, [vec(3)]) == vec(3)
-    assert minimal_ktype(p, [vec(3), vec(5), vec(7)]) == vec(3)
-    assert minimal_ktype(p, [vec(5), vec(5)]) == vec(5)
-    with pytest.raises(ValueError):
-        minimal_ktype(p, [])
-    with pytest.raises(ValueError):
-        minimal_ktype(p, [vec("1/2")])
 
 
 def test_a2_threshold_matches_known_inequality(a2_principal):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from redpair.weights import WeightMultiset, add, half_sum, scale, sub, vec, zero
+from redpair.weights import WeightMultiset, add, scale, sub, vec, zero
 
 
 def test_vec_accepts_ints_strings_fractions():
@@ -23,18 +23,18 @@ def test_arithmetic():
 
 
 def test_half_sum_empty_is_zero():
-    assert half_sum(WeightMultiset({}, rank=2)) == zero(2)
+    assert WeightMultiset({}, rank=2).half_sum() == zero(2)
 
 
 def test_half_sum_rank_one():
     ms = WeightMultiset({vec(2): 1, vec(4): 1})
-    assert half_sum(ms) == vec(3)
+    assert ms.half_sum() == vec(3)
 
 
 def test_half_sum_with_multiplicities():
     # the principal rank-one character of the so(5) nilradical
     ms = WeightMultiset({vec(2): 2, vec(4): 1, vec(6): 1})
-    assert half_sum(ms) == vec(7)
+    assert ms.half_sum() == vec(7)
 
 
 def test_multiset_size_and_support():
