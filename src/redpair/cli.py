@@ -6,7 +6,8 @@ nonzero denominator, like ``5`` or ``3/2``, and bracketed arrays, nested
 once for matrices and refused deeper; decimals, exponents and
 underscores are rejected so that exactness survives the I/O boundary).
 The command verb comes from the command line or from a ``command`` key
-in the config.  A key that no verb reads is refused.
+in the config.  ``KEYS`` gives the shape of every key, and a key that
+the job's verb and ``k`` kind do not read is refused.
 
 Verbs: pair-info, parabolic, generic-check, sl2-threshold, fundseries,
 verify.  Output is a human-readable report, a machine-readable JSON
@@ -25,7 +26,6 @@ import sys
 from fractions import Fraction
 
 from .fundseries import (
-    InducingModule,
     MultiplicityTable,
     infinitesimal_character,
     ktype_table,
@@ -43,13 +43,6 @@ from .reductive import (
 )
 from .rootsystem import CapExceeded, build_root_system
 from .weights import Weight, WeightMultiset, add, scale
-
-COMMANDS = ("pair-info", "parabolic", "generic-check", "sl2-threshold",
-            "fundseries", "verify")
-
-CONFIG_KEYS = ("lie_type", "k", "labels", "nodes", "restriction", "k_simple_roots",
-               "k_coroots", "command", "mu", "lambda", "nu", "nu_basis", "cutoff",
-               "max_weyl")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -145,10 +138,18 @@ def _require(job: dict, key: str):
     return job[key]
 
 
-def _as_int(value, key: str) -> int:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    raise ConfigError(f"config key {key!r} must be an integer, got {_fmt(_ser(value))}")
+# ---------------------------------------------------------------------------
+# the config schema: the shape of every key, and the keys each verb and
+# each k kind reads
+
+
+def _shape(shape: str, test, convert=None):
+    """The parser of a key whose value must pass test, then convert(value, key)."""
+    def parse(value, key: str):
+        if not test(value):
+            raise ConfigError(f"config key {key!r} must be {shape}, got {_fmt(_ser(value))}")
+        return value if convert is None else convert(value, key)
+    return parse
 
 
 def _is_array(value, depth: int = 1) -> bool:
@@ -158,75 +159,97 @@ def _is_array(value, depth: int = 1) -> bool:
     return isinstance(value, list) and all(_is_array(v, depth - 1) for v in value)
 
 
-def _require_array(job: dict, key: str, depth: int = 1) -> list:
-    value = _require(job, key)
-    if not _is_array(value, depth):
-        shape = "an array of " + "arrays of " * (depth - 1) + "rationals"
-        raise ConfigError(f"config key {key!r} must be {shape}, got {_fmt(_ser(value))}")
-    return value
+_WORD = _shape("a word", lambda v: isinstance(v, str))
+_INTEGER = _shape("an integer", lambda v: isinstance(v, Fraction) and v.denominator == 1,
+                  lambda v, key: int(v))
+_INTEGERS = _shape("an array of rationals", _is_array,
+                   lambda v, key: [_INTEGER(x, key) for x in v])
+_WEIGHT = _shape("a rational or an array of rationals",
+                 lambda v: isinstance(v, Fraction) or _is_array(v))
+_MATRIX = _shape("an array of arrays of rationals", lambda v: _is_array(v, 2))
 
 
-def _word(job: dict, key: str, default: str | None = None) -> str:
-    """A bare-word value; a missing key gives the default, or is refused
-    when there is none."""
-    value = _require(job, key) if default is None else job.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a word, got {_fmt(_ser(value))}")
-    return value
+def _word(*choices: str):
+    """The parser of a bare word that must be one of choices."""
+    one_of = _shape("one of " + ", ".join(choices), lambda v: v in choices)
+    return lambda value, key: one_of(_WORD(value, key), key)
+
+
+_JOB_KEYS = ("lie_type", "k", "command", "max_weyl")   # read by every job
+_TABLE_KEYS = ("nu", "nu_basis", "lambda", "cutoff")
+VERB_KEYS = {"pair-info": (), "parabolic": ("lambda", "mu"), "generic-check": ("mu",),
+             "sl2-threshold": (), "fundseries": _TABLE_KEYS, "verify": _TABLE_KEYS}
+KIND_KEYS = {"sl2": ("labels",), "cartan": (), "levi": ("nodes",),
+             "explicit": ("restriction", "k_simple_roots", "k_coroots")}
+COMMANDS = tuple(VERB_KEYS)
+
+KEYS = {
+    "lie_type": _WORD, "k": _word(*KIND_KEYS), "labels": _INTEGERS, "nodes": _INTEGERS,
+    "restriction": _MATRIX, "k_simple_roots": _MATRIX, "k_coroots": _MATRIX,
+    "command": _word(*COMMANDS), "mu": _WEIGHT, "lambda": _WEIGHT, "nu": _WEIGHT,
+    "nu_basis": _word("simple", "fundamental"),
+    "cutoff": _shape("a rational", lambda v: isinstance(v, Fraction)), "max_weyl": _INTEGER,
+}
+CONFIG_KEYS = tuple(KEYS)
+
+
+def check_job(job: dict, command: str | None) -> tuple[dict, str]:
+    """Parse every key of a read config to its shape and resolve the verb;
+    a key that the verb and the k kind do not read is refused."""
+    for key in job:
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    job = {key: KEYS[key](value, key) for key, value in job.items()}
+    command = command or job.get("command")
+    if command is None:
+        raise ConfigError("no command verb given on the command line or in the config")
+    if job.get("command", command) != command:
+        raise ConfigError(f"command line says {command!r} but config says {job['command']!r}")
+    kind = _require(job, "k")
+    read = _JOB_KEYS + VERB_KEYS[command] + KIND_KEYS[kind]
+    for key in job:
+        if key not in read:
+            raise ConfigError(f"config key {key!r} is not read by {command} with k = {kind}")
+    return job, command
 
 
 def build_pair(job: dict) -> ReductivePair:
-    g = build_root_system(_word(job, "lie_type"))
-    kind = _word(job, "k")
+    g = build_root_system(_require(job, "lie_type"))
+    kind = job["k"]
     if kind == "sl2":
-        labels = [_as_int(v, "labels") for v in _require_array(job, "labels")]
-        return make_sl2_pair(g, labels)
-    if kind == "cartan":
-        return make_cartan_pair(g)
+        return make_sl2_pair(g, _require(job, "labels"))
     if kind == "levi":
-        nodes = {_as_int(v, "nodes") for v in _require_array(job, "nodes")}
-        return make_levi_pair(g, nodes)
+        return make_levi_pair(g, set(_require(job, "nodes")))
     if kind == "explicit":
-        restriction = _require_array(job, "restriction", 2)
-        simple = [tuple(row) for row in _require_array(job, "k_simple_roots", 2)]
-        coroots = [tuple(row) for row in _require_array(job, "k_coroots", 2)]
-        return make_explicit_pair(g, restriction, simple, coroots)
-    raise ConfigError(f"unknown k kind {kind!r}; expected sl2, cartan, levi, explicit")
+        return make_explicit_pair(g, _require(job, "restriction"),
+                                  _require(job, "k_simple_roots"), _require(job, "k_coroots"))
+    return make_cartan_pair(g)
 
 
 def _as_tweight(value, p: ReductivePair, key: str) -> Weight:
     """A small-side weight: a coordinate array, or a scalar when rank 1."""
     if isinstance(value, Fraction):
         if p.rank_t != 1:
-            raise ConfigError(
-                f"{key!r} was a scalar but the small side has rank {p.rank_t}"
-            )
+            raise ConfigError(f"{key!r} was a scalar but the small side has rank {p.rank_t}")
         return (value,)
-    if _is_array(value):
-        if len(value) != p.rank_t:
-            raise ConfigError(f"{key!r} must have {p.rank_t} coordinates")
-        return tuple(value)
-    raise ConfigError(f"{key!r} must be a rational or an array of rationals")
+    if len(value) != p.rank_t:
+        raise ConfigError(f"{key!r} must have {p.rank_t} coordinates")
+    return tuple(value)
 
 
-def _as_gweight(value, p: ReductivePair, job: dict) -> Weight:
-    """An ambient-side weight; a scalar is read as the restriction value
-    of a rank-one small side and lifted orthogonally."""
+def _as_gweight(value, p: ReductivePair, basis: str | None) -> Weight:
+    """An ambient-side weight in the given basis (simple by default); a
+    scalar is read as the restriction value of a rank-one small side and
+    lifted orthogonally, and takes no basis."""
     if isinstance(value, Fraction):
         if p.rank_t != 1:
             raise ConfigError("scalar nu needs a rank-one small side")
+        if basis is not None:
+            raise ConfigError("config key 'nu_basis' is not read with a scalar nu")
         return p.lift_weight((value,))
-    if _is_array(value):
-        if len(value) != p.g.rank:
-            raise ConfigError(f"nu must have {p.g.rank} coordinates")
-        nu = tuple(value)
-        basis = _word(job, "nu_basis", "simple")
-        if basis == "fundamental":
-            return p.g.from_fundamental(nu)
-        if basis == "simple":
-            return nu
-        raise ConfigError(f"nu_basis must be simple or fundamental, got {basis!r}")
-    raise ConfigError("nu must be a rational or an array of rationals")
+    if len(value) != p.g.rank:
+        raise ConfigError(f"nu must have {p.g.rank} coordinates")
+    return p.g.from_fundamental(tuple(value)) if basis == "fundamental" else tuple(value)
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +351,9 @@ def _table_doc(p: ReductivePair, table: MultiplicityTable) -> dict:
 # job execution
 
 
-def _get_cutoff(job: dict, args, p: ReductivePair, e: InducingModule) -> Fraction:
-    if args.cutoff is not None:
-        return args.cutoff
-    if "cutoff" in job:
-        value = job["cutoff"]
-        if not isinstance(value, Fraction):
-            raise ConfigError("cutoff must be a rational")
-        return value
-    # generous default: the minimal norm plus 100 units of the rho norm,
-    # or plus 100 when the subalgebra has no roots at all
-    base = norm2_shifted(p, e.mu)
-    rho2 = p.t_pair(p.rho, p.rho)
-    return base + 100 * (rho2 if rho2 else Fraction(1))
-
-
 def run_job(job: dict, args) -> dict:
     p = build_pair(job)
-    cap = args.max_weyl
-    if cap is None and "max_weyl" in job:
-        cap = _as_int(job["max_weyl"], "max_weyl")
+    cap = args.max_weyl if args.max_weyl is not None else job.get("max_weyl")
     if cap is not None:
         if cap < 1:
             raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
@@ -357,8 +363,8 @@ def run_job(job: dict, args) -> dict:
             raise CapExceeded(f"reflection group exceeds the cap of {cap} elements")
     doc: dict = {
         "job": {
-            "lie_type": str(job.get("lie_type")),
-            "k": str(job.get("k")),
+            "lie_type": job["lie_type"],
+            "k": job["k"],
             "command": args.command,
         }
     }
@@ -369,12 +375,10 @@ def run_job(job: dict, args) -> dict:
         return doc
 
     if command == "parabolic":
-        if "lambda" in job:
-            lam = _as_tweight(job["lambda"], p, "lambda")
-        elif "mu" in job:
-            lam = add(_as_tweight(job["mu"], p, "mu"), scale(2, p.rho))
-        else:
-            raise ConfigError("the parabolic command needs 'lambda' or 'mu'")
+        if ("lambda" in job) == ("mu" in job):
+            raise ConfigError("the parabolic command needs exactly one of 'lambda' and 'mu'")
+        lam = (_as_tweight(job["lambda"], p, "lambda") if "lambda" in job
+               else add(_as_tweight(job["mu"], p, "mu"), scale(2, p.rho)))
         doc["parabolic"] = _parabolic_doc(p, compatible_parabolic(p, lam))
         return doc
 
@@ -391,37 +395,39 @@ def run_job(job: dict, args) -> dict:
         }
         return doc
 
-    if command in ("fundseries", "verify"):
-        nu = _as_gweight(_require(job, "nu"), p, job)
-        lam = _as_tweight(job["lambda"], p, "lambda") if "lambda" in job else None
-        parab, e = series_parabolic(p, nu, lam)
-        cutoff = _get_cutoff(job, args, p, e)
-        table = ktype_table(p, parab, e, cutoff)
-        doc["parabolic"] = _parabolic_doc(p, parab)
-        doc["table"] = _table_doc(p, table)
-        doc["character"] = {
-            "nu": _ser(e.nu),
-            "omega": _ser(e.omega),
-            "representative": _ser(infinitesimal_character(p.g, e)),
+    # fundseries or verify
+    nu = _as_gweight(_require(job, "nu"), p, job.get("nu_basis"))
+    lam = _as_tweight(job["lambda"], p, "lambda") if "lambda" in job else None
+    parab, e = series_parabolic(p, nu, lam)
+    cutoff = args.cutoff if args.cutoff is not None else job.get("cutoff")
+    if cutoff is None:
+        # generous default: the minimal norm plus 100 units of the rho norm,
+        # or plus 100 when the subalgebra has no roots at all
+        rho2 = p.t_pair(p.rho, p.rho)
+        cutoff = norm2_shifted(p, e.mu) + 100 * (rho2 if rho2 else Fraction(1))
+    table = ktype_table(p, parab, e, cutoff)
+    doc["parabolic"] = _parabolic_doc(p, parab)
+    doc["table"] = _table_doc(p, table)
+    doc["character"] = {
+        "nu": _ser(e.nu),
+        "omega": _ser(e.omega),
+        "representative": _ser(infinitesimal_character(p.g, e)),
+    }
+    if command == "verify":
+        report = verify_minimal_ktype(table, e, p)
+        generic = None
+        if p.is_dominant_integral(e.mu):
+            generic = is_generic(p, e.mu).holds
+        doc["verify"] = {
+            "minimal_entry_ok": report.minimal_entry_ok,
+            "unique_minimum_ok": report.unique_minimum_ok,
+            "nonnegative_ok": report.nonnegative_ok,
+            "all_ok": report.all_ok,
+            "generic": generic,
+            "rho_identity_ok": parab.rho_n == add(p.rho, parab.rho_n_perp),
+            "degree_sum_ok": parab.s + parab.r == parab.ch_t_n.size(),
         }
-        if command == "verify":
-            report = verify_minimal_ktype(table, e, p)
-            generic = None
-            if p.is_dominant_integral(e.mu):
-                generic = is_generic(p, e.mu).holds
-            doc["verify"] = {
-                "minimal_entry_ok": report.minimal_entry_ok,
-                "unique_minimum_ok": report.unique_minimum_ok,
-                "nonnegative_ok": report.nonnegative_ok,
-                "all_ok": report.all_ok,
-                "generic": generic,
-                "rho_identity_ok":
-                    parab.rho_n == add(p.rho, parab.rho_n_perp),
-                "degree_sum_ok": parab.s + parab.r == parab.ch_t_n.size(),
-            }
-        return doc
-
-    raise ConfigError(f"unknown command {command!r}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -482,23 +488,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {args.config!r} is not valid UTF-8: {exc}") from None
-        job = parse_config(text)
-        for key in job:
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-        if args.command is None:
-            if "command" not in job:
-                raise ConfigError("no command verb given on the command line "
-                                  "or in the config")
-            verb = _word(job, "command")
-            if verb not in COMMANDS:
-                raise ConfigError(f"unknown command {verb!r} in config")
-            args.command = verb
-        elif "command" in job and _word(job, "command") != args.command:
-            raise ConfigError(
-                f"command line says {args.command!r} but config says "
-                f"{job['command']!r}"
-            )
+        job, args.command = check_job(parse_config(text), args.command)
         if args.cutoff is not None:
             args.cutoff = _parse_rational(args.cutoff.strip())
         doc = run_job(job, args)

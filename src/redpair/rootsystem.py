@@ -47,6 +47,8 @@ _POSITIVE_ROOT_COUNT = {
     "G": lambda n: 6,
 }
 
+MAX_POSITIVE_ROOTS = 200   # build_root_system refuses more (E8 has 120)
+
 
 class CapExceeded(RuntimeError):
     """An enumeration would exceed its configured resource cap."""
@@ -231,6 +233,10 @@ def weyl_group_order(cartan: list[list[int]]) -> int:
 def build_root_system(t: LieType | str) -> RootSystem:
     """Construct the root system of a semisimple type, exactly."""
     lie_type = LieType.parse(t) if isinstance(t, str) else t
+    expected = sum(_POSITIVE_ROOT_COUNT[f](n) for f, n in lie_type.components)
+    if expected > MAX_POSITIVE_ROOTS:
+        raise CapExceeded(f"{lie_type} has {expected} positive roots, over the cap of "
+                          f"{MAX_POSITIVE_ROOTS}")
     rank = lie_type.rank
 
     gram = [[Fraction(0)] * rank for _ in range(rank)]
@@ -248,8 +254,6 @@ def build_root_system(t: LieType | str) -> RootSystem:
     g6 = [[(6 * v).numerator for v in row] for row in gram]
     a = [[2 * g6[i][j] // g6[j][j] for j in range(rank)] for i in range(rank)]
     roots = _root_closure(a)
-
-    expected = sum(_POSITIVE_ROOT_COUNT[f](n) for f, n in lie_type.components)
     if len(roots) != expected:
         raise AssertionError(
             f"positive root closure for {lie_type} produced {len(roots)} roots, "
@@ -329,8 +333,8 @@ def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
     return scale, nodes
 
 
-def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
-                     max_size: int | None = None) -> list[tuple[tuple[int, ...], Weight]]:
+def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
+                     coroot_pairing) -> list[tuple[tuple[int, ...], Weight]]:
     """The Weyl orbit of a strictly dominant x as (reduced word, w x) pairs,
     breadth-first under y -> y - <y, sigma_i-coroot> sigma_i.
 
@@ -350,7 +354,7 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing
     so that w x = x - sum_i a_i sigma_i; the points are recovered from it
     once, at the end, in integers scaled by one common denominator.
     """
-    scale, nodes = _coroot_walk(x, simple_roots, coroot_pairing, max_size)
+    scale, nodes = _coroot_walk(x, simple_roots, coroot_pairing, None)
     orbit = [((), x)]
     if len(nodes) == 1:
         return orbit

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -443,6 +444,50 @@ def test_unknown_config_key_is_parse_error(tmp_path, capsys):
     assert out == ""
 
 
+SL2_A2 = "lie_type = A2\nk = sl2\nlabels = [2, 2]\n"
+
+
+@pytest.mark.parametrize("text, flags, key", [
+    (A2_FUNDSERIES.replace("169/8", "foo"), ["--cutoff", "169/8"], "cutoff"),
+    (SL2_A2 + "command = sl2-threshold\nmu = foo\nnu = [[1]]\n", [], "mu"),
+    (SL2_A2 + "command = fundseries\nnu = -3\nnu_basis = sideways\n", [], "nu_basis"),
+    (SL2_A2 + "command = fundseries\nnu = -3\nnu_basis = simple\n", [], "nu_basis"),
+    ("lie_type = A2\nk = cartan\ncommand = pair-info\nlabels = foo\nnodes = [[x]]\n", [],
+     "labels"),
+    ("lie_type = A2\nk = levi\nnodes = [1]\ncommand = generic-check\nmu = [1, 2]\n"
+     "lambda = bar\ncutoff = [1]\n", [], "lambda"),
+    (SL2_A2 + "command = pair-info\nmax_weyl = foo\n", ["--max-weyl", "10"], "max_weyl"),
+    (SL2_A2 + "command = parabolic\nlambda = 1\nmu = 1\n", [], "lambda"),
+    (A2_FUNDSERIES + "mu = 1\n", [], "mu"),
+], ids=["cutoff-shape", "threshold-mu", "nu-basis-word", "scalar-nu-basis", "cartan-labels",
+        "levi-lambda", "max-weyl-shape", "parabolic-lambda-and-mu", "fundseries-mu"])
+def test_malformed_or_unread_key_is_parse_error(tmp_path, capsys, text, flags, key):
+    # every key is parsed to its shape, and a key the job does not read is
+    # refused, before any work runs; flags do not excuse the config key
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_main(capsys, ["--config", cfg] + flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and repr(key) in err
+    assert err.endswith("\n") and "\n" not in err[:-1]
+
+
+def test_root_count_over_the_cap_exits_at_once(tmp_path):
+    # A99999 has about 5 * 10^9 positive roots; the count is known before
+    # the closure runs, so the job exits 4 without building anything
+    cfg = write_config(tmp_path, "lie_type = A99999\nk = cartan\ncommand = pair-info\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "redpair.cli", "--config", cfg],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 1
+    assert run.returncode == 4
+    assert run.stdout == ""
+    assert run.stderr == ("resource cap exceeded: A99999 has 4999950000 positive roots, "
+                          "over the cap of 200\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("lie_type = A2\nk = levi\nnodes = 1\n",
      "config key 'nodes' must be an array of rationals, got 1"),
@@ -450,7 +495,9 @@ def test_unknown_config_key_is_parse_error(tmp_path, capsys):
      "config key 'max_weyl' must be an integer, got 1/2"),
     ("lie_type = A2\nk = [1]\n", "config key 'k' must be a word, got [1]"),
     ("lie_type = [1]\nk = cartan\n", "config key 'lie_type' must be a word, got [1]"),
-], ids=["nodes", "max_weyl", "k", "lie_type"])
+    ("lie_type = A2\nk = cartan\nmu = 1\n",
+     "config key 'mu' is not read by pair-info with k = cartan"),
+], ids=["nodes", "max_weyl", "k", "lie_type", "unread"])
 def test_parse_messages_print_values_as_written(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
     code, out, err = run_main(capsys, ["pair-info", "--config", cfg])

@@ -22,6 +22,7 @@ from redpair.reductive import (
 from redpair.rootsystem import (
     CapExceeded,
     build_root_system,
+    enumerate_reflection_group,
     reflection_orbit,
     weyl_group,
     weyl_group_order,
@@ -68,10 +69,12 @@ def test_orbit_of_a_fractional_point_and_its_cap():
     assert all(rs.coroot_pairing(x, i) > 0 for i in range(3))
     expected = kernel_oracle.reflection_orbit(x, rs.simple_roots, rs.coroot_pairing)
     assert reflection_orbit(x, rs.simple_roots, rs.coroot_pairing) == expected
+    # the cap of the group enumeration, which runs the same walk from x
     for cap in (1, 7, 47):
         with pytest.raises(CapExceeded, match=f"cap of {cap} elements"):
-            reflection_orbit(x, rs.simple_roots, rs.coroot_pairing, max_size=cap)
-    assert len(reflection_orbit(x, rs.simple_roots, rs.coroot_pairing, max_size=48)) == 48
+            enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, x, max_size=cap)
+    assert len(enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, x,
+                                          max_size=48)) == 48
 
 
 def test_orbit_needs_integral_pairings_between_simple_roots():

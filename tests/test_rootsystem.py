@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from redpair.rootsystem import (
+    MAX_POSITIVE_ROOTS,
     CapExceeded,
     LieType,
     _root_closure,
@@ -117,6 +118,14 @@ def test_weyl_rank_cap():
         weyl_group(rs, max_rank=2)
     with pytest.raises(CapExceeded):
         weyl_group(rs, max_size=5)
+
+
+def test_positive_root_count_cap():
+    # A19 x A4 has 190 + 10 positive roots; one A1 more is over the cap
+    assert MAX_POSITIVE_ROOTS == 200
+    assert len(build_root_system("A19xA4").positive_roots) == 200
+    with pytest.raises(CapExceeded, match="A19xA4xA1 has 201 positive roots"):
+        build_root_system("A19xA4xA1")
 
 
 def test_root_closure_cap():

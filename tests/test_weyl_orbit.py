@@ -13,7 +13,8 @@ from redpair.reductive import (
     make_levi_pair,
     make_sl2_pair,
 )
-from redpair.rootsystem import CapExceeded, build_root_system, reflection_orbit, weyl_group
+from redpair.rootsystem import (CapExceeded, build_root_system, enumerate_reflection_group,
+                                reflection_orbit, weyl_group)
 from redpair.weights import add, scale, sub, vec, zero
 from weyl_oracle import images, k_group, root_system_group
 
@@ -86,4 +87,5 @@ def test_orbit_needs_a_strictly_dominant_base_point():
     orbit = reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_pairing)
     assert [len(word) for word, _ in orbit] == [0, 1, 1, 2, 2, 3]
     with pytest.raises(CapExceeded):
-        reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_pairing, max_size=5)
+        enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, rs.rho_tilde,
+                                   max_size=5)
