@@ -35,9 +35,9 @@ print("inducing module: omega =", e.omega, " dim E =", e.dim_e, " mu =", e.mu)
 
 table = ktype_table(p, parab, e, norm2_shifted(p, vec(11)))
 print("multiplicities (s =", table.s, ", r =", table.r, "):")
-for delta, mult in table.sorted_entries(p):
+for delta, mult in table.sorted_entries():
     print("   delta =", delta[0], " mult =", mult,
-          " |delta + 2 rho|^2 =", norm2_shifted(p, delta))
+          " |delta + 2 rho|^2 =", table.norms[delta])
 
 # the entries are partition counts: delta - mu written with parts 2 and 4
 counter = PartitionCounter(p, WeightMultiset({vec(2): 1, vec(4): 1}), parab.lam)

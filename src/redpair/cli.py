@@ -329,7 +329,7 @@ def _genericity_doc(report: GenericityReport, mu: Weight) -> dict:
     }
 
 
-def _table_doc(p: ReductivePair, table: MultiplicityTable) -> dict:
+def _table_doc(table: MultiplicityTable) -> dict:
     return {
         "s": table.s,
         "r": table.r,
@@ -340,9 +340,9 @@ def _table_doc(p: ReductivePair, table: MultiplicityTable) -> dict:
             {
                 "delta": _ser(delta),
                 "mult": mult,
-                "norm2_shifted": _ser(norm2_shifted(p, delta)),
+                "norm2_shifted": _ser(table.norms[delta]),
             }
-            for delta, mult in table.sorted_entries(p)
+            for delta, mult in table.sorted_entries()
         ],
     }
 
@@ -407,7 +407,7 @@ def run_job(job: dict, args) -> dict:
         cutoff = norm2_shifted(p, e.mu) + 100 * (rho2 if rho2 else Fraction(1))
     table = ktype_table(p, parab, e, cutoff)
     doc["parabolic"] = _parabolic_doc(p, parab)
-    doc["table"] = _table_doc(p, table)
+    doc["table"] = _table_doc(table)
     doc["character"] = {
         "nu": _ser(e.nu),
         "omega": _ser(e.omega),
@@ -464,22 +464,23 @@ def emit(doc: dict, mode: str, out) -> None:
         out.write(machine)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="redpair",
-        description="exact k-type computations for reductive pairs",
-    )
-    parser.add_argument("command", nargs="?", choices=COMMANDS,
-                        help="job verb; may also come from the config file")
-    parser.add_argument("--config", required=True, help="path to the job config")
-    parser.add_argument("--cutoff", default=None,
-                        help="norm cutoff for tables, as an exact rational")
-    parser.add_argument("--max-weyl", type=int, default=None,
-                        help="cap on the order of the small Weyl group")
-    parser.add_argument("--emit", choices=("human", "machine", "both"),
-                        default="human")
-    args = parser.parse_args(argv)
+# built once, at import; each parse_args call returns a fresh namespace
+_PARSER = argparse.ArgumentParser(
+    prog="redpair",
+    description="exact k-type computations for reductive pairs",
+)
+_PARSER.add_argument("command", nargs="?", choices=COMMANDS,
+                     help="job verb; may also come from the config file")
+_PARSER.add_argument("--config", required=True, help="path to the job config")
+_PARSER.add_argument("--cutoff", default=None,
+                     help="norm cutoff for tables, as an exact rational")
+_PARSER.add_argument("--max-weyl", type=int, default=None,
+                     help="cap on the order of the small Weyl group")
+_PARSER.add_argument("--emit", choices=("human", "machine", "both"), default="human")
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         try:
             with open(args.config, encoding="utf-8") as fh:

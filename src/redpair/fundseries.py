@@ -20,6 +20,14 @@ characteristic of the series against V(delta); under genericity the
 series lives in a single degree, making the sum an honest multiplicity,
 and each term bounds the multiplicity in degree s - i.
 
+A whole table reads the same sum the other way round (Brauer-Klimyk):
+``ktype_table`` folds every lattice point mu + rho + x of the cutoff
+ball, carrying its partition count, to the dominant chamber with the
+sign of the fold.  The ball holds every term of every delta in the
+table, and a point that folds onto a wall belongs to no delta, so the
+signed sums are the Euler characteristics exactly, with no Weyl group
+walked and one partition sweep for all points.
+
 The chamber of the series, the minimal parabolic consistent with the
 inducing weight, is resolved by ``series_parabolic``.
 """
@@ -37,7 +45,8 @@ from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular
 from .reductive import ReductivePair
 from .rootsystem import (CapExceeded, RootSystem, fold_dominant, reflection_orbit,
                          weyl_dim_from_roots)
-from .weights import Weight, WeightMultiset, add, fmt, scale, sub, to_integers, zero
+from .weights import (FractionTable, Weight, WeightMultiset, add, fmt, scale, sub,
+                      to_integers)
 
 
 @dataclass(frozen=True)
@@ -244,66 +253,64 @@ def euler_multiplicity(p: ReductivePair, parab: CompatibleParabolic,
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """Nonzero k-type Euler multiplicities inside a shifted-norm ball."""
+    """Nonzero k-type Euler multiplicities inside a shifted-norm ball,
+    with the shifted squared norm |delta + 2 rho|^2 of every entry."""
 
     entries: dict[Weight, int]
+    norms: dict[Weight, Fraction]
     cutoff: Fraction
     s: int
     r: int
     mu: Weight
     dim_e: int
 
-    def sorted_entries(self, p: ReductivePair) -> list[tuple[Weight, int]]:
-        return sorted(self.entries.items(),
-                      key=lambda kv: (norm2_shifted(p, kv[0]), kv[0]))
+    def sorted_entries(self) -> list[tuple[Weight, int]]:
+        return sorted(self.entries.items(), key=lambda kv: (self.norms[kv[0]], kv[0]))
 
 
-def _candidate_ktypes(p: ReductivePair, parab: CompatibleParabolic,
-                      e: InducingModule, cutoff: Fraction) -> list[Weight]:
-    """Every dominant integral delta inside the cutoff ball that can carry
-    a nonzero term: delta = w(mu + rho + x) - rho for a Weyl element w
-    and an N-combination x of the weights of n cap k-perp.
+MAX_TABLE_POINTS = 1_000_000   # ktype_table refuses a walk over more lattice points
 
-    Such a delta has |mu + rho + x|^2 = |delta + rho|^2 <= R with
-    R = cutoff - 3 |rho|^2: W_k acts by isometries, and
-        |delta + 2 rho|^2 = |delta + rho|^2 + 2 <delta, rho> + 3 |rho|^2
-    with <delta, rho> >= 0 for dominant delta.  So the lam-level of
-    mu + rho + x is at most |lam| sqrt(R), tested squared; each weight
-    raises the level, so the points x under that cap are grown one
-    support weight at a time.  One fold per point is complete: delta +
-    rho is strictly dominant, hence the only dominant point of the
-    W_k-orbit of mu + rho + x, which the simple-reflection fold reaches.
-    """
-    lam = parab.lam
-    mu_rho = add(e.mu, p.rho)
-    radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
-    cap2 = p.t_pair(lam, lam) * radius2
-    points: dict[Weight, Fraction] = {zero(p.rank_t): p.t_pair(lam, mu_rho)}
-    for beta in parab.ch_t_n_cap_kperp.support():
-        step = p.t_pair(lam, beta)
-        for x, level in list(points.items()):
-            x, level = add(x, beta), level + step
-            # a point already present has had (or will have) its own walk
-            while (level <= 0 or level * level <= cap2) and x not in points:
-                points[x] = level
-                x, level = add(x, beta), level + step
 
-    candidates: set[Weight] = set()
-    for x in points:
-        shifted = add(mu_rho, x)
-        if p.t_pair(shifted, shifted) > radius2:
-            continue
-        delta = sub(fold_dominant(shifted, p.k_simple_roots, p.coroot_pairing),
-                    p.rho)
-        if p.dominance_defect(delta) is None and norm2_shifted(p, delta) <= cutoff:
-            candidates.add(delta)
-    return sorted(candidates, key=lambda d: (norm2_shifted(p, d), d))
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
 
 
 def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
                 e: InducingModule, cutoff: Fraction | int) -> MultiplicityTable:
     """All nonzero Euler multiplicities at dominant integral weights whose
-    shifted squared norm is at most the cutoff."""
+    shifted squared norm is at most the cutoff, by one signed fold of the
+    partition character.
+
+    Kostant's sum m(delta) = dim E * sum_w (-1)^l(w) P(w(delta + rho) -
+    rho - mu) is read the other way round (the Brauer-Klimyk, or
+    Racah-Speiser, rearrangement; Humphreys, Introduction to Lie Algebras
+    and Representation Theory, section 24 and its exercises): every point y = mu +
+    rho + x, x an N-combination of the weights of n cap k-perp, carries
+    P(x), and the simple-reflection fold takes y to the weakly dominant
+    point z of its W_k-orbit with sign (-1)^(number of reflections).
+    When z lies off the walls it is delta + rho for exactly one delta,
+    and the fold of w(delta + rho) has the parity of l(w), so summing the
+    signed counts at each z gives m(delta) with no Weyl group walked.  A
+    z on a wall is no delta + rho: z - rho fails the dominance test, so
+    its points add to no entry.
+
+    Every term of a delta in the ball is reached: W_k acts by isometries,
+    and for dominant delta
+        |delta + 2 rho|^2 = |delta + rho|^2 + 2 <delta, rho> + 3 |rho|^2
+    with <delta, rho> >= 0, so each w(delta + rho) has squared norm at
+    most R = cutoff - 3 |rho|^2.  By Cauchy-Schwarz its lam-level is at
+    most |lam| sqrt(R), tested squared; each weight raises the level, so
+    the points under that cap are grown one support weight at a time and
+    form a set closed under removing a weight.  P on that set comes from
+    one sweep per generator copy in level order, P[y] += P[y - b].
+
+    The walk, the counts and the fold run on int tuples: weights scaled
+    by D = lcm(denominators of mu + rho, rho and the support) times the
+    denominators of the k-simple roots and of the coroot functionals, so
+    that every reflection of an orbit point is an exact integer step.
+    The walk is refused past MAX_TABLE_POINTS points, and a small Weyl
+    group over a million elements before it starts.
+    """
     _check_series_inputs(p, parab, e)
     cutoff = Fraction(cutoff)
     minimum_norm = norm2_shifted(p, e.mu)
@@ -312,14 +319,88 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
             f"cutoff {cutoff} lies below the shifted norm {minimum_norm} of "
             f"the minimal k-type, which the table must contain"
         )
-    counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
-    entries: dict[Weight, int] = {}
-    for delta in _candidate_ktypes(p, parab, e, cutoff):
-        value = euler_multiplicity(p, parab, e, delta, counter=counter)
-        if value != 0:
-            entries[delta] = value
-    return MultiplicityTable(entries=entries, cutoff=cutoff, s=parab.s,
-                             r=parab.r, mu=e.mu, dim_e=e.dim_e)
+    if p.k_weyl_order() > 1_000_000:
+        raise CapExceeded("reflection group exceeds the cap of 1000000 elements")
+    generators = parab.ch_t_n_cap_kperp
+    support = generators.support()
+    sigmas, sig_den = to_integers(p.k_simple_roots)
+    funs, fun_den = to_integers(p.k_coroot_functionals)
+    q = sig_den * fun_den
+    rows, base = to_integers([add(e.mu, p.rho), p.rho, *support])
+    den = base * q
+    start, rho, *steps = [tuple(q * c for c in row) for row in rows]
+    gram, gram_den = to_integers(p.t_gram)
+    (ell,), ell_den = to_integers([mat_vec(transpose(p.t_gram), parab.lam)])
+
+    def norm2(y) -> int:        # |y / D|^2 times gram_den D^2
+        return _dot(y, [_dot(row, y) for row in gram])
+
+    # lam-level cap, level^2 <= |lam|^2 R, and ball |y|^2 <= R, in the
+    # same integer units as ell . y and norm2(y)
+    radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
+    cap2 = p.t_pair(parab.lam, parab.lam) * radius2 * (ell_den * den) ** 2
+    cap_num, cap_den = cap2.numerator, cap2.denominator
+    ball = radius2 * gram_den * den * den
+    ball_num, ball_den = ball.numerator, ball.denominator
+
+    points: dict[tuple[int, ...], int] = {start: _dot(ell, start)}
+    for b, beta in zip(support, steps):
+        step = _dot(ell, beta)
+        if step <= 0:
+            raise ValueError(f"generator {fmt(b)} does not pair strictly positively "
+                             f"with the grading weight {fmt(parab.lam)}")
+        for y, level in list(points.items()):
+            y, level = tuple(map(operator.add, y, beta)), level + step
+            # a point already present has had (or will have) its own walk
+            while (level <= 0 or level * level * cap_den <= cap_num) and y not in points:
+                points[y] = level
+                if len(points) > MAX_TABLE_POINTS:
+                    raise CapExceeded(f"the k-type table walk exceeds the cap of "
+                                      f"{MAX_TABLE_POINTS} lattice points")
+                y, level = tuple(map(operator.add, y, beta)), level + step
+
+    # in level order, y - beta is counted (for this copy too) before y
+    count = dict.fromkeys(sorted(points, key=points.__getitem__), 0)
+    count[start] = 1
+    for beta, mult in zip(steps, (generators.entries[b] for b in support)):
+        for _ in range(mult):
+            for y in count:
+                below = count.get(tuple(map(operator.sub, y, beta)))
+                if below:
+                    count[y] += below
+
+    # the fold: y -> y - <y, sigma_i-coroot> sigma_i while a pairing is
+    # negative, the pairings c = fun_den D <y, sigma_j-coroot> carried along
+    cartan = [[_dot(f, s) // q for f in funs] for s in sigmas]
+    folded: dict[tuple[int, ...], int] = {}
+    for y, n in count.items():
+        if norm2(y) * ball_den > ball_num:
+            continue
+        c = [_dot(f, y) for f in funs]
+        while True:
+            for i, ci in enumerate(c):
+                if ci < 0:
+                    y = tuple([a - ci // q * s for a, s in zip(y, sigmas[i])])
+                    c = [a - ci * s for a, s in zip(c, cartan[i])]
+                    n = -n
+                    break
+            else:
+                break
+        folded[y] = folded.get(y, 0) + n
+
+    fractions = FractionTable(den)
+    kept: list[tuple[Fraction, Weight, int]] = []
+    for z, total in folded.items():
+        if not total:
+            continue
+        norm = Fraction(norm2(tuple(map(operator.add, z, rho))), gram_den * den * den)
+        delta = tuple([fractions[a - r] for a, r in zip(z, rho)])
+        if norm <= cutoff and p.dominance_defect(delta) is None:
+            kept.append((norm, delta, e.dim_e * total))
+    kept.sort()
+    return MultiplicityTable(entries={delta: mult for _, delta, mult in kept},
+                             norms={delta: norm for norm, delta, _ in kept},
+                             cutoff=cutoff, s=parab.s, r=parab.r, mu=e.mu, dim_e=e.dim_e)
 
 
 def infinitesimal_character(rs: RootSystem, e: InducingModule) -> Weight:
@@ -347,9 +428,7 @@ def verify_minimal_ktype(table: MultiplicityTable, e: InducingModule,
     mu_norm = norm2_shifted(p, e.mu)
     minimal_entry_ok = table.entries.get(e.mu) == e.dim_e
     unique_minimum_ok = all(
-        norm2_shifted(p, delta) > mu_norm
-        for delta in table.entries
-        if delta != e.mu
+        norm > mu_norm for delta, norm in table.norms.items() if delta != e.mu
     )
     nonnegative_ok = all(v >= 0 for v in table.entries.values())
     return MinimalKTypeReport(

@@ -19,6 +19,7 @@ sums.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -181,35 +182,40 @@ def _root_closure(a: list[list[int]],
 
     Works level by level in height; beta + alpha_i is a root iff the
     alpha_i-string through beta satisfies p - <beta, alpha_i-coroot> > 0,
-    where p is the largest k with beta - k alpha_i a root.  Roots come
-    out as int tuples in simple-root coordinates, ordered by height.
+    where p is the largest k with beta - k alpha_i a root.  Each root
+    carries its coroot pairings, its parent's plus a row of a, so no
+    candidate sums a pairing over the rank.  Roots come out as int tuples in
+    simple-root coordinates, ordered by height.
     """
     rank = len(a)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
 
     roots: set[tuple[int, ...]] = set(simple)
-    level = list(simple)
+    # each root of this height with its pairings <beta, alpha_j-coroot>
+    level = [(beta, list(row)) for beta, row in zip(simple, a)]
     all_levels = [list(simple)]
     while level:
-        nxt: list[tuple[int, ...]] = []
-        for beta in level:
+        nxt: list[tuple[tuple[int, ...], list[int]]] = []
+        for beta, pairings in level:
             for i in range(rank):
+                p = 0
+                if beta[i]:
+                    while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
+                        p += 1
+                if p - pairings[i] <= 0:
+                    continue
                 candidate = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                 if candidate in roots:
                     continue
-                p = 0
-                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
-                    p += 1
-                if p - sum(beta[j] * a[j][i] for j in range(rank)) > 0:
-                    roots.add(candidate)
-                    nxt.append(candidate)
-                    if max_roots is not None and len(roots) > max_roots:
-                        raise ValueError(
-                            "root closure exceeded its cap; the Cartan data is "
-                            "not of finite type"
-                        )
+                roots.add(candidate)
+                nxt.append((candidate, list(map(operator.add, pairings, a[i]))))
+                if max_roots is not None and len(roots) > max_roots:
+                    raise ValueError(
+                        "root closure exceeded its cap; the Cartan data is "
+                        "not of finite type"
+                    )
         if nxt:
-            all_levels.append(nxt)
+            all_levels.append([beta for beta, _ in nxt])
         level = nxt
     return [r for lev in all_levels for r in sorted(lev)]
 
@@ -251,7 +257,7 @@ def build_root_system(t: LieType | str) -> RootSystem:
     # 6 (alpha_i, alpha_j) is an integer for every family (lengths 2/3,
     # 1 and 2, off-diagonal entries -1/2 and -1); the Cartan entries
     # 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) are integer quotients of it
-    g6 = [[(6 * v).numerator for v in row] for row in gram]
+    g6 = [[6 * v.numerator // v.denominator for v in row] for row in gram]
     a = [[2 * g6[i][j] // g6[j][j] for j in range(rank)] for i in range(rank)]
     roots = _root_closure(a)
     if len(roots) != expected:

@@ -1,6 +1,8 @@
 """The ``Fraction`` versions of the integer kernels, kept as their oracles:
 the orbit walk on weight vectors, Gauss-Jordan inversion over the
-rationals, and the root split that restricts every root on each call."""
+rationals, and the root split that restricts every root on each call;
+and the root closure that sums each candidate's coroot pairing over the
+whole rank."""
 
 from fractions import Fraction
 
@@ -82,3 +84,31 @@ def mat_mul(a, b):
     """The product summed in ``Fraction``."""
     bt = tuple(zip(*b)) if b else ()
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def root_closure(a):
+    """The positive roots of an integer Cartan matrix, level by level in
+    height: beta + alpha_i is a root iff p - <beta, alpha_i-coroot> > 0,
+    with p the largest k such that beta - k alpha_i is a root."""
+    rank = len(a)
+    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    roots = set(simple)
+    level = list(simple)
+    all_levels = [list(simple)]
+    while level:
+        nxt = []
+        for beta in level:
+            for i in range(rank):
+                candidate = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if candidate in roots:
+                    continue
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
+                    p += 1
+                if p - sum(beta[j] * a[j][i] for j in range(rank)) > 0:
+                    roots.add(candidate)
+                    nxt.append(candidate)
+        if nxt:
+            all_levels.append(nxt)
+        level = nxt
+    return [r for lev in all_levels for r in sorted(lev)]

@@ -1,0 +1,73 @@
+"""The k-type table as ``redpair.fundseries.ktype_table`` built it before
+the signed fold: a ``Fraction`` walk for the candidate deltas, then one
+Euler characteristic per candidate, read off the W_k-orbit of delta +
+rho with one partition count per Weyl element.  Kept as the oracle of
+the fold."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from redpair.fundseries import PartitionCounter, euler_multiplicity
+from redpair.genericity import norm2_shifted
+from redpair.rootsystem import fold_dominant
+from redpair.weights import Weight, add, sub, zero
+
+
+def walk_points(p, parab, e, cutoff: Fraction) -> dict[Weight, Fraction]:
+    """The N-combinations x of the weights of n cap k-perp whose lam-level
+    t_pair(lam, mu + rho + x) is at most |lam| sqrt(R), R = cutoff -
+    3 |rho|^2, tested squared, each with that level.  Each weight raises
+    the level, so they are grown one support weight at a time."""
+    lam = parab.lam
+    radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
+    cap2 = p.t_pair(lam, lam) * radius2
+    points: dict[Weight, Fraction] = {zero(p.rank_t): p.t_pair(lam, add(e.mu, p.rho))}
+    for beta in parab.ch_t_n_cap_kperp.support():
+        step = p.t_pair(lam, beta)
+        for x, level in list(points.items()):
+            x, level = add(x, beta), level + step
+            # a point already present has had (or will have) its own walk
+            while (level <= 0 or level * level <= cap2) and x not in points:
+                points[x] = level
+                x, level = add(x, beta), level + step
+    return points
+
+
+def _candidate_ktypes(p, parab, e, cutoff: Fraction) -> list[Weight]:
+    """Every dominant integral delta inside the cutoff ball that can carry
+    a nonzero term: delta = w(mu + rho + x) - rho for a Weyl element w
+    and an N-combination x of the weights of n cap k-perp.
+
+    Such a delta has |mu + rho + x|^2 = |delta + rho|^2 <= R with
+    R = cutoff - 3 |rho|^2: W_k acts by isometries, and
+        |delta + 2 rho|^2 = |delta + rho|^2 + 2 <delta, rho> + 3 |rho|^2
+    with <delta, rho> >= 0 for dominant delta.  So x is among the points
+    of ``walk_points``.  One fold per point is complete: delta + rho is
+    strictly dominant, hence the only dominant point of the W_k-orbit of
+    mu + rho + x, which the simple-reflection fold reaches.
+    """
+    mu_rho = add(e.mu, p.rho)
+    radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
+    candidates: set[Weight] = set()
+    for x in walk_points(p, parab, e, cutoff):
+        shifted = add(mu_rho, x)
+        if p.t_pair(shifted, shifted) > radius2:
+            continue
+        delta = sub(fold_dominant(shifted, p.k_simple_roots, p.coroot_pairing),
+                    p.rho)
+        if p.dominance_defect(delta) is None and norm2_shifted(p, delta) <= cutoff:
+            candidates.add(delta)
+    return sorted(candidates, key=lambda d: (norm2_shifted(p, d), d))
+
+
+def candidate_table(p, parab, e, cutoff) -> dict[Weight, int]:
+    """The nonzero Euler multiplicities of the candidates, each a full
+    Kostant sum over W_k."""
+    counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
+    entries: dict[Weight, int] = {}
+    for delta in _candidate_ktypes(p, parab, e, Fraction(cutoff)):
+        value = euler_multiplicity(p, parab, e, delta, counter=counter)
+        if value != 0:
+            entries[delta] = value
+    return entries

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from candidate_oracle import walk_candidates
-from redpair.fundseries import _candidate_ktypes, inducing_module, ktype_table, series_parabolic
+from redpair.fundseries import inducing_module, ktype_table, series_parabolic
+from table_oracle import _candidate_ktypes
 from redpair.genericity import norm2_shifted
 from redpair.parabolic import compatible_parabolic
 from redpair.reductive import (

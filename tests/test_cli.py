@@ -337,6 +337,37 @@ def test_full_e8_levi_fundseries_hits_the_default_cap_at_once(tmp_path):
     assert "cap of 1000000 elements" in run.stderr
 
 
+def test_unbounded_table_walk_exits_at_the_point_cap(tmp_path):
+    # nu = 10^20 and cutoff = 10^41 put about 10^20 lattice points under
+    # the level cap; the walk stops at MAX_TABLE_POINTS
+    cfg = write_config(tmp_path, "lie_type = A2\nk = sl2\nlabels = [2, 2]\n"
+                                 "command = fundseries\nnu = 100000000000000000000\n"
+                                 f"cutoff = {10 ** 41}\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-m", "redpair.cli", "--config", cfg],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 4
+    assert run.stdout == ""
+    assert run.stderr == ("resource cap exceeded: the k-type table walk exceeds the cap "
+                          "of 1000000 lattice points\n")
+
+
+def test_successive_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once; a flag given to one call must not reach the next
+    cfg = write_config(tmp_path, A2_FUNDSERIES)
+    first = run_main(capsys, ["--config", cfg, "--emit", "machine", "--cutoff", "50"])
+    second = run_main(capsys, ["--config", cfg, "--emit", "machine"])
+    assert first[0] == second[0] == 0
+    assert json.loads(first[1])["table"]["cutoff"] == "50"
+    assert json.loads(second[1])["table"]["cutoff"] == "169/8"
+    assert first[1] != second[1]
+    third = run_main(capsys, ["pair-info", "--config", write_config(
+        tmp_path, "lie_type = A2\nk = cartan\n", "info.cfg")])
+    assert third[0] == 0 and third[1].startswith("[job]")
+    assert run_main(capsys, ["--config", cfg, "--emit", "machine"]) == second
+
+
 @pytest.mark.parametrize("source", ["flag", "key"])
 @pytest.mark.parametrize("cap", [0, -1])
 def test_cap_below_one_is_parse_error(tmp_path, capsys, source, cap):

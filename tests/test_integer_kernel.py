@@ -1,7 +1,8 @@
 """The integer kernels of the root and Weyl machinery against their
 ``Fraction`` versions in kernel_oracle: the orbit walk in coroot
 coordinates, the integer-scaled inverse and product, the restrictions
-stored once per pair, and the root split that reads them."""
+stored once per pair, and the root split that reads them; and the root
+closure against the one that sums every pairing."""
 
 import itertools
 import random
@@ -21,6 +22,7 @@ from redpair.reductive import (
 )
 from redpair.rootsystem import (
     CapExceeded,
+    _root_closure,
     build_root_system,
     enumerate_reflection_group,
     reflection_orbit,
@@ -211,3 +213,11 @@ def test_weyl_group_order_of_exceptional_types():
         cartan = build_root_system(name).cartan
         assert weyl_group_order([[int(v) for v in row] for row in cartan]) == order
     assert weyl_group_order(()) == 1
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["A19xA4", "G2xA1xB3xA1",
+                                  pytest.param("x".join(["A1"] * 60), id="60xA1")])
+def test_root_closure_matches_the_pairing_sum(name):
+    # the same roots in the same order, each pairing carried from its parent
+    a = [[int(v) for v in row] for row in build_root_system(name).cartan]
+    assert _root_closure(a) == kernel_oracle.root_closure(a)
