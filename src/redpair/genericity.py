@@ -44,11 +44,12 @@ scan as oracles of both paths.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .parabolic import is_regular, split_roots
+from .parabolic import _grading, _regular, split_roots
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, add, scale, sub, to_integers
 
@@ -70,18 +71,23 @@ class _Condition2Search:
     def __init__(self, p: ReductivePair, c: Weight, ms: WeightMultiset):
         self.p = p
         self.c = c
-        # Largest pairing first: dominant-chamber weights fail fastest.
-        self.weights = sorted(ms.support(),
-                              key=lambda b: (-p.t_pair(c, b), b))
-        self.mults = [ms.entries[b] for b in self.weights]
+        # Largest pairing first, by int pairings with the scaled grading
+        # functional of c: dominant-chamber weights fail fastest.
+        ell = _grading(p, c)
+        rows, self._den = to_integers(ms.entries)
+        order = sorted(zip(ms.entries.items(), rows),
+                       key=lambda e: (-sum(map(operator.mul, ell, e[1])), e[0][0]))
+        self.weights = [b for (b, _), _ in order]
+        self.mults = [m for (_, m), _ in order]
+        self._rows = [row for _, row in order]    # the weights times _den
 
     def find_violation(self) -> bool:
         """True iff some nonempty submultiset S has t_pair(c - rho_S, rho_S) <= 0."""
         if self.p.rank_t == 1:
-            if not self.weights:
-                return False
-            rho_n = WeightMultiset(zip(self.weights, self.mults)).half_sum()
-            return self.p.t_pair(sub(self.c, rho_n), rho_n) <= 0
+            # s = 2 _den rho_n, so t_pair(c - rho_n, rho_n) has the sign of
+            # (2 _den c - s) s; s = 0 iff ch_t n is empty
+            s = sum(m * row[0] for m, row in zip(self.mults, self._rows))
+            return s != 0 and (2 * self._den * self.c[0] - s) * s <= 0
         return self._first_violation() is not None
 
     def minimal_witness(self) -> tuple[WeightMultiset, Weight]:
@@ -110,10 +116,10 @@ class _Condition2Search:
     def _rank_one_witness(self) -> list[int] | None:
         """Multiplicity vector of the rank-one witness, None when there is
         no violation: S fails iff |2 rho_S| >= |2 c|, and the weights are
-        sorted by decreasing absolute value.  The sums are scaled to int."""
-        scaled, _ = to_integers([[2 * abs(self.c[0])]
-                                 + [abs(b[0]) for b in self.weights]])
-        goal, *sizes = scaled[0]
+        sorted by decreasing absolute value.  The sums run in the int rows
+        scaled by _den, against the least integer goal."""
+        goal = math.ceil(2 * abs(self.c[0]) * self._den)
+        sizes = [abs(row[0]) for row in self._rows]
         # prefix[j]: sum of the j largest copies; start[i]: copies before index i
         prefix = [0]
         start = [0]
@@ -243,12 +249,12 @@ def is_generic(p: ReductivePair, mu: Weight) -> GenericityReport:
     if defect is not None:
         raise ValueError(f"mu is not dominant integral: {defect}")
     lam = add(mu, scale(2, p.rho))
-    if not is_regular(p, lam):
+    n_roots, _, ch_t_n = split_roots(p, lam)
+    if not _regular(p, n_roots):
         raise ValueError(
             "mu + 2 rho is irregular: it pairs to zero with a restricted root, "
             "so no minimal parabolic is attached to it"
         )
-    _, _, ch_t_n = split_roots(p, lam)
     rho_n = ch_t_n.half_sum()
 
     condition1_ok = True

@@ -37,20 +37,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on a singular matrix.
+    """Exact inverse; raises ValueError on a singular matrix."""
+    return solve(a, identity(len(a)))
 
-    The entries are scaled by their common denominator D into integers,
-    and fraction-free Gauss-Jordan elimination (Bareiss) runs on those:
-    every division by the previous pivot is exact, and at the end the left
-    block is d times the identity, d = +-det(D a), and the right block is
-    d (D a)^{-1}.  The inverse is then D / d times the right block, each
-    entry made a Fraction once.
+
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """The exact X with a X = b; raises ValueError on a singular a.
+
+    a and b are scaled by their common denominators Da and Db into
+    integers, and fraction-free Gauss-Jordan elimination (Bareiss) runs on
+    [Da a | Db b]: every division by the previous pivot is exact, and at
+    the end the left block is d times the identity, d = +-det(Da a), and
+    the right block is d (Da a)^{-1} Db b.  X is then Da / (Db d) times
+    the right block, each entry made a Fraction once.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
-    scaled, scale = to_integers(a)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+    if len(b) != n:
+        raise ValueError(f"matrix is {n}x{n}, right-hand side has {len(b)} rows")
+    left, da = to_integers(a)
+    right, db = to_integers(b)
+    aug = [x + y for x, y in zip(left, right)]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -65,4 +73,4 @@ def inverse(a: Matrix) -> Matrix:
                 f = row[col]
                 aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    return tuple(tuple(Fraction(x * scale, prev) for x in row[n:]) for row in aug)
+    return tuple(tuple(Fraction(x * da, db * prev) for x in row[n:]) for row in aug)

@@ -6,6 +6,13 @@ pairings span the nilradical n, zero pairings span the reductive part m,
 and the rest are the negatives of n.  The decomposition is recorded
 purely as small-side weight multisets.
 
+The split is one pass over the roots in integers: the pair stores each
+restricted root as an int row, ell = t_gram^T lam is scaled to ints, and
+the sign of one int dot product places each root.  Copies of ch_t n are
+counted under int-row keys.  Regularity (no root of nonzero restriction
+pairs to zero with lam) is read off the same pass: n must hold a root
+for every positive root of nonzero restriction.
+
 A remark on the intersection with the subalgebra k: the parabolic
 contains the whole Cartan, so p cap k always contains t; the quantity
 used for the homological degree bookkeeping is n cap k, which for a
@@ -15,26 +22,32 @@ The multiset split below implements exactly that reading.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .linalg import mat_vec, transpose
+from .linalg import mat_vec, to_integers, transpose
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, fmt, neg
 
 
-def _grading(p: ReductivePair, lam: Weight) -> Weight:
-    """ell = t_gram^T lam, so that ell . y = t_pair(lam, y); formed once
-    per call and paired with every stored restricted root."""
+def _grading(p: ReductivePair, lam: Weight) -> list[int]:
+    """ell = t_gram^T lam, so that ell . y = t_pair(lam, y), scaled by its
+    common denominator into ints; formed once per call and paired with
+    every stored restricted root."""
     if len(lam) != p.rank_t:
         raise ValueError(f"grading weight must have rank {p.rank_t}")
-    return mat_vec(transpose(p.t_gram), lam)
+    (ell,), _ = to_integers([mat_vec(transpose(p.t_gram), lam)])
+    return ell
+
+
+def _regular(p: ReductivePair, n_roots: tuple[Weight, ...]) -> bool:
+    """Whether the split with these n roots comes from a regular lam."""
+    return len(n_roots) == sum(map(any, p.restricted_integers))
 
 
 def is_regular(p: ReductivePair, lam: Weight) -> bool:
     """True iff lam pairs nonzero with every restricted root."""
-    ell = _grading(p, lam)
-    return all(sum(a * b for a, b in zip(ell, r)) != 0
-               for r in p.restricted_positive if any(r))
+    return _regular(p, split_roots(p, lam)[0])
 
 
 def split_roots(
@@ -48,21 +61,21 @@ def split_roots(
     ell = _grading(p, lam)
     n_roots: list[Weight] = []
     m_roots: list[Weight] = []
-    ch: dict[Weight, int] = {}
-    for root, restricted in zip(p.g.positive_roots, p.restricted_positive):
+    ch: dict[tuple[tuple[int, ...], bool], int] = {}   # copies by int row and sign
+    stored: dict[tuple[int, ...], Weight] = {}
+    for root, restricted, row in zip(p.g.positive_roots, p.restricted_positive,
+                                     p.restricted_integers):
         # restriction and pairing are linear: the negative root gives -value
-        value = sum(a * b for a, b in zip(ell, restricted))
-        if value > 0:
-            n_roots.append(root)
-            ch[restricted] = ch.get(restricted, 0) + 1
-        elif value < 0:
-            negative = neg(restricted)
-            n_roots.append(neg(root))
-            ch[negative] = ch.get(negative, 0) + 1
+        value = sum(map(operator.mul, ell, row))
+        if value:
+            n_roots.append(root if value > 0 else neg(root))
+            ch[row, value > 0] = ch.get((row, value > 0), 0) + 1
+            stored[row] = restricted
         else:
-            m_roots.append(root)
-            m_roots.append(neg(root))
-    return tuple(n_roots), tuple(m_roots), WeightMultiset(ch, rank=p.rank_t)
+            m_roots += (root, neg(root))
+    return tuple(n_roots), tuple(m_roots), WeightMultiset(
+        [(stored[row] if up else neg(stored[row]), m) for (row, up), m in ch.items()],
+        rank=p.rank_t)
 
 
 @dataclass(frozen=True)
@@ -118,5 +131,5 @@ def compatible_parabolic(p: ReductivePair, lam: Weight) -> CompatibleParabolic:
         rho_n_perp=cap_kperp.half_sum(),
         s=cap_k.size(),
         r=cap_kperp.size(),
-        minimal=is_regular(p, lam),
+        minimal=_regular(p, n_roots),
     )

@@ -8,9 +8,9 @@ the rest once:
 
 - the orthogonal section of the restriction and the induced form on the
   small side (the restriction of the invariant form to the
-  orthocomplement of the kernel);
-- the restriction of every positive root of the ambient algebra, in
-  integers scaled by the common denominator of the restriction;
+  orthocomplement of the kernel), from one fraction-free solve;
+- the restriction of every positive root of the ambient algebra, as int
+  rows scaled by the common denominator of the restriction and as weights;
 - the k-positive roots, the integer root closure of the k Cartan matrix
   <sigma_i, sigma_j-coroot> combined with the k-simple roots, and rho,
   half their sum.
@@ -18,11 +18,11 @@ the rest once:
 When the restriction is the identity, which the constructor reads off the
 matrix itself, the section is the identity, the induced form is the
 ambient Gram matrix and the restricted roots are the roots themselves, so
-nothing is inverted or restricted.  The parabolic split, the regularity
-test, the rank-one threshold and the nonzero restricted roots all read
-the stored restrictions.  Dominance and integrality on the small side are
-always tested through the supplied coroot functionals, never through the
-form, so no normalization mismatch can creep in.
+nothing is solved or restricted.  The parabolic split and the regularity
+test read the stored int rows, the rank-one threshold and the nonzero
+restricted roots the stored weights.  Dominance and integrality on the
+small side are always tested through the supplied coroot functionals,
+never through the form, so no normalization mismatch can creep in.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Matrix, inverse, mat_mul, mat_vec, to_integers, transpose
+from .linalg import Matrix, inverse, mat_mul, mat_vec, solve, to_integers, transpose
 from .rootsystem import (
     RootSystem,
     WeylElement,
@@ -54,6 +54,7 @@ class ReductivePair:
     k_positive_roots: tuple[Weight, ...]
     rho: Weight                    # half-sum of the k-positive roots
     restricted_positive: tuple[Weight, ...]  # restrictions of g.positive_roots, in order
+    restricted_integers: tuple[tuple[int, ...], ...]  # the same, times one denominator
     embedding_kind: str
 
     @cached_property
@@ -125,34 +126,30 @@ class ReductivePair:
 
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
-    """Lift and induced Gram matrix for a full-row-rank restriction.
+    """Lift and induced Gram matrix for a full-row-rank restriction R.
 
-    The section L solves R L = id with image orthogonal to ker R, which
-    gives L = G^{-1} R^T (R G^{-1} R^T)^{-1} and induced form
-    (R G^{-1} R^T)^{-1}; positive definiteness is inherited from G.
+    The section L solves R L = id with image orthogonal to ker R.  One
+    fraction-free solve gives X = G^{-1} R^T; the induced form is then
+    (R X)^{-1} and L = X (R X)^{-1}, and positive definiteness is
+    inherited from G.  For a single row r the form is 1 / (r G^{-1} r^T).
     """
-    g_inv = inverse(g.gram)
-    rt = transpose(restriction)
-    core = mat_mul(mat_mul(restriction, g_inv), rt)
+    x = solve(g.gram, transpose(restriction))
     try:
-        t_gram = inverse(core)
+        t_gram = inverse(mat_mul(restriction, x))
     except ValueError:
         raise ValueError("rank-deficient restriction: no lift exists") from None
-    lift = mat_mul(mat_mul(g_inv, rt), t_gram)
-    return lift, t_gram
+    return mat_mul(x, t_gram), t_gram
 
 
-def _images(matrix: Matrix, vectors) -> tuple[Weight, ...]:
+def _images(matrix: Matrix, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
     """matrix . v for every integer vector v (int or integral Fraction
-    entries), in order.  The rows are scaled by their common denominator D
-    into integers, and each image coordinate is made a Fraction with
-    denominator D once."""
+    entries), in order: the int images of the matrix scaled by its common
+    denominator D, and the weights, each coordinate made a Fraction once."""
     rows, den = to_integers(matrix)
     fractions = FractionTable(den)
-    return tuple(
-        tuple([fractions[sum([a * c.numerator for a, c in zip(row, v)])] for row in rows])
-        for v in vectors
-    )
+    scaled = tuple(tuple([sum([a * c.numerator for a, c in zip(row, v)]) for row in rows])
+                   for v in vectors)
+    return scaled, tuple(tuple([fractions[x] for x in image]) for image in scaled)
 
 
 def _k_cartan(k_simple: tuple[Weight, ...],
@@ -187,16 +184,17 @@ def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
     if restriction == g.simple_roots:
         # the identity: the simple roots are the unit vectors of their basis
         lift, t_gram, restricted = restriction, g.gram, g.positive_roots
+        scaled = tuple(tuple([c.numerator for c in root]) for root in restricted)
     else:
         lift, t_gram = _orthogonal_section(g, restriction)
-        restricted = _images(restriction, g.positive_roots)
+        scaled, restricted = _images(restriction, g.positive_roots)
     closure = _root_closure(_k_cartan(k_simple, functionals),
                             max_roots=2 * len(g.positive_roots))
-    k_positive = _images(transpose(k_simple), closure)
+    _, k_positive = _images(transpose(k_simple), closure)
     rank_t = len(restriction)
     rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
     return ReductivePair(g, rank_t, restriction, lift, t_gram, k_simple, functionals,
-                         k_positive, rho, restricted, kind)
+                         k_positive, rho, restricted, scaled, kind)
 
 
 def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import Matrix, inverse, mat_vec
+from .linalg import Matrix, mat_vec, solve
 from .weights import FractionTable, Weight, WeightMultiset, add, fmt, to_integers
 
 _FAMILY_RANKS = {
@@ -167,12 +167,11 @@ class RootSystem:
         """Convert fundamental-weight coordinates to simple-root coordinates.
 
         If x = sum c_i omega_i then <x, alpha_j-coroot> = c_j, so the
-        simple-root coordinates are (C^T)^{-1} c for the Cartan matrix C.
+        simple-root coordinates solve C^T x = c for the Cartan matrix C.
         """
         if len(coords) != self.rank:
             raise ValueError("coordinate length does not match rank")
-        inv = inverse(tuple(zip(*self.cartan)))
-        return mat_vec(inv, coords)
+        return tuple(x for (x,) in solve(tuple(zip(*self.cartan)), [(c,) for c in coords]))
 
 
 def _root_closure(a: list[list[int]],

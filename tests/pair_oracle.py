@@ -1,13 +1,38 @@
 """The four pair factories as they were before they shared one
-constructor, each filling every field of ``ReductivePair`` by hand; kept
-as the oracle of ``redpair.reductive``."""
+constructor, each filling every field of ``ReductivePair`` by hand, and
+the orthogonal section by two ``Fraction`` inverses; kept as the oracle
+of ``redpair.reductive``."""
 
+import math
 from fractions import Fraction
 
+import kernel_oracle
 from redpair.linalg import Matrix, identity, mat_mul, to_integers, transpose
-from redpair.reductive import ReductivePair, _orthogonal_section
+from redpair.reductive import ReductivePair
 from redpair.rootsystem import RootSystem, _root_closure
 from redpair.weights import FractionTable, Weight, WeightMultiset, fmt, weight, zero
+
+
+def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
+    """L = G^{-1} R^T (R G^{-1} R^T)^{-1} and the induced form
+    (R G^{-1} R^T)^{-1}, by Gauss-Jordan elimination in ``Fraction``."""
+    g_inv = kernel_oracle.inverse(g.gram)
+    rt = transpose(restriction)
+    core = kernel_oracle.mat_mul(kernel_oracle.mat_mul(restriction, g_inv), rt)
+    try:
+        t_gram = kernel_oracle.inverse(core)
+    except ValueError:
+        raise ValueError("rank-deficient restriction: no lift exists") from None
+    lift = kernel_oracle.mat_mul(kernel_oracle.mat_mul(g_inv, rt), t_gram)
+    return lift, t_gram
+
+
+def _scaled(restriction: Matrix, restricted: tuple[Weight, ...]) -> tuple[tuple[int, ...], ...]:
+    """The restricted roots times the common denominator of the restriction."""
+    den = math.lcm(*(Fraction(x).denominator for row in restriction for x in row))
+    scaled = tuple(tuple(c * den for c in r) for r in restricted)
+    assert all(c.denominator == 1 for r in scaled for c in r)
+    return tuple(tuple(c.numerator for c in r) for r in scaled)
 
 
 def _restrict_positive(g: RootSystem, restriction: Matrix) -> tuple[Weight, ...]:
@@ -57,6 +82,7 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
         k_positive_roots=(two,),
         rho=weight([1]),
         restricted_positive=restricted,
+        restricted_integers=_scaled(restriction, restricted),
         embedding_kind="sl2-characteristic",
     )
 
@@ -76,6 +102,7 @@ def make_cartan_pair(g: RootSystem) -> ReductivePair:
         k_positive_roots=(),
         rho=zero(g.rank),
         restricted_positive=g.positive_roots,
+        restricted_integers=_scaled(ident, g.positive_roots),
         embedding_kind="cartan",
     )
 
@@ -110,6 +137,7 @@ def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
         k_positive_roots=k_positive,
         rho=rho,
         restricted_positive=g.positive_roots,
+        restricted_integers=_scaled(ident, g.positive_roots),
         embedding_kind="levi",
     )
 
@@ -201,6 +229,7 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
         k_positive_roots=tuple(k_positive),
         rho=WeightMultiset(ms, rank=rank_t).half_sum(),
         restricted_positive=_restrict_positive(g, restriction),
+        restricted_integers=_scaled(restriction, _restrict_positive(g, restriction)),
         embedding_kind="explicit",
     )
     for root in k_positive:

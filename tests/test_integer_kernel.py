@@ -1,6 +1,6 @@
 """The integer kernels of the root and Weyl machinery against their
 ``Fraction`` versions in kernel_oracle: the orbit walk in coroot
-coordinates, the integer-scaled inverse and product, the restrictions
+coordinates, the integer-scaled solve, inverse and product, the restrictions
 stored once per pair, and the root split that reads them; and the root
 closure against the one that sums every pairing."""
 
@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 import kernel_oracle
+from redpair.cli import main
 from redpair.fundseries import kostant_weights
-from redpair.linalg import inverse, mat_mul, mat_vec
+from redpair.linalg import inverse, mat_mul, mat_vec, solve
 from redpair.parabolic import is_regular, split_roots
 from redpair.reductive import (
     make_cartan_pair,
@@ -133,6 +134,41 @@ def test_inverse_and_product_of_random_matrices():
         b = _random_matrix(rng, n, rng.randint(0, 4))
         assert mat_mul(a, b) == kernel_oracle.mat_mul(a, b)
     assert singular > 20
+
+
+def test_solve_equals_the_inverse_times_the_right_hand_side():
+    rng = random.Random(21)
+    solved = singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        a = _random_matrix(rng, n, n)
+        b = _random_matrix(rng, n, rng.randint(1, 3))
+        try:
+            a_inv = kernel_oracle.inverse(a)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                solve(a, b)
+            continue
+        solved += 1
+        assert solve(a, b) == kernel_oracle.mat_mul(a_inv, b)
+    assert solved > 300 and singular > 20
+    with pytest.raises(ValueError, match="right-hand side has 1 rows"):
+        solve(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), ((Fraction(1),),))
+
+
+def test_zero_restriction_row_has_no_lift(tmp_path, capsys):
+    a2 = build_root_system("A2")
+    for restriction in ([[0, 0]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="^rank-deficient restriction: no lift exists$"):
+            make_explicit_pair(a2, restriction, [], [])
+    path = tmp_path / "job.cfg"
+    path.write_text("lie_type = A2\nk = explicit\nrestriction = [[0, 0]]\n"
+                    "k_simple_roots = []\nk_coroots = []\ncommand = pair-info\n",
+                    encoding="utf-8")
+    assert main(["--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: rank-deficient restriction: no lift exists\n")
 
 
 def test_inverse_errors_are_unchanged():

@@ -2,6 +2,7 @@
 depth-first scan (still the higher-rank path) and the unpruned
 size-by-size scan of ``witness_oracle``."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -42,10 +43,11 @@ def test_exceptional_principal_threshold(name):
     [[-2, -2]], [[1, 3]], [[-1, 2]], [[2, -1]],
 ])
 def test_a2_torus_pairs_at_negative_grading_weight(restriction):
-    # no k-roots, so rho = 0 and lam = mu may be negative
+    # no k-roots, so rho = 0 and lam = mu may be negative, and in thirds
+    # the witness's goal 2 |lam| lies between two integers
     p = make_explicit_pair(build_root_system("A2"), restriction, [], [])
     violations = 0
-    for m in range(-9, 0):
+    for m in (Fraction(k, 3) for k in range(-27, 0)):
         report = is_generic(p, vec(m))
         _, _, ch_t_n = split_roots(p, report.lam)
         search = _Condition2Search(p, report.lam, ch_t_n)
