@@ -41,7 +41,7 @@ from .reductive import (
     make_levi_pair,
     make_sl2_pair,
 )
-from .rootsystem import CapExceeded, build_root_system
+from .rootsystem import CapExceeded, build_root_system, refuse_weyl_order
 from .weights import Weight, WeightMultiset, add, scale
 
 EXIT_OK = 0
@@ -359,8 +359,7 @@ def run_job(job: dict, args) -> dict:
             raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
         # guard: refuse jobs whose small Weyl group is larger than the cap,
         # its order read off the k-root heights without enumerating it
-        if p.k_weyl_order() > cap:
-            raise CapExceeded(f"reflection group exceeds the cap of {cap} elements")
+        refuse_weyl_order(p.k_weyl_order(), cap)
     doc: dict = {
         "job": {
             "lie_type": job["lie_type"],
@@ -455,13 +454,12 @@ def _human_lines(doc: dict) -> list[str]:
 
 
 def emit(doc: dict, mode: str, out) -> None:
-    machine = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     if mode in ("human", "both"):
         out.write("\n".join(_human_lines(doc)))
     if mode == "both":
         out.write("--- machine ---\n")
     if mode in ("machine", "both"):
-        out.write(machine)
+        out.write(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
 # built once, at import; each parse_args call returns a fresh namespace

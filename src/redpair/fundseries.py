@@ -44,7 +44,7 @@ from .linalg import mat_vec, transpose
 from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular
 from .reductive import ReductivePair
 from .rootsystem import (CapExceeded, RootSystem, fold_dominant, reflection_orbit,
-                         weyl_dim_from_roots)
+                         refuse_weyl_order, weyl_dim_from_roots)
 from .weights import (FractionTable, Weight, WeightMultiset, add, fmt, scale, sub,
                       to_integers)
 
@@ -198,16 +198,14 @@ class PartitionCounter:
         return total
 
 
-def kostant_weights(p: ReductivePair, delta: Weight,
-                    max_weyl: int | None = 1_000_000) -> list[tuple[int, Weight]]:
+def kostant_weights(p: ReductivePair, delta: Weight) -> list[tuple[int, Weight]]:
     """The weights w(delta + rho) - rho of the nilradical cohomology of a
     k-type, one per Weyl element w, tagged with the degree length(w).
-    A small Weyl group larger than max_weyl is refused before the walk."""
+    A small Weyl group over MAX_WEYL elements is refused before the walk."""
     defect = p.dominance_defect(delta)
     if defect is not None:
         raise ValueError(f"delta is not dominant integral: {defect}")
-    if max_weyl is not None and p.k_weyl_order() > max_weyl:
-        raise CapExceeded(f"reflection group exceeds the cap of {max_weyl} elements")
+    refuse_weyl_order(p.k_weyl_order())
     orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots, p.coroot_pairing)
     return sorted((len(word), sub(y, p.rho)) for word, y in orbit)
 
@@ -226,15 +224,13 @@ def _check_series_inputs(p: ReductivePair, parab: CompatibleParabolic,
 
 
 def kostant_terms(p: ReductivePair, parab: CompatibleParabolic,
-                  e: InducingModule, delta: Weight,
-                  counter: PartitionCounter | None = None) -> dict[int, int]:
+                  e: InducingModule, delta: Weight) -> dict[int, int]:
     """The Euler characteristic of the series against V(delta), split by
     Kostant degree: degree i maps to dim E times the unsigned sum of the
     partition counts of its length-i terms, an upper bound for the
     multiplicity of V(delta) in degree s - i."""
     _check_series_inputs(p, parab, e)
-    if counter is None:
-        counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
+    counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
     terms: dict[int, int] = {}
     for length, w_weight in kostant_weights(p, delta):
         terms[length] = terms.get(length, 0) + e.dim_e * counter.count(sub(w_weight, e.mu))
@@ -242,12 +238,11 @@ def kostant_terms(p: ReductivePair, parab: CompatibleParabolic,
 
 
 def euler_multiplicity(p: ReductivePair, parab: CompatibleParabolic,
-                       e: InducingModule, delta: Weight,
-                       counter: PartitionCounter | None = None) -> int:
+                       e: InducingModule, delta: Weight) -> int:
     """Euler characteristic of the series against V(delta), the
     alternating sum of its Kostant terms; equals the multiplicity when
     the inducing k-type is generic."""
-    terms = kostant_terms(p, parab, e, delta, counter)
+    terms = kostant_terms(p, parab, e, delta)
     return sum((-1) ** i * value for i, value in terms.items())
 
 
@@ -309,7 +304,7 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     denominators of the k-simple roots and of the coroot functionals, so
     that every reflection of an orbit point is an exact integer step.
     The walk is refused past MAX_TABLE_POINTS points, and a small Weyl
-    group over a million elements before it starts.
+    group over MAX_WEYL elements before it starts.
     """
     _check_series_inputs(p, parab, e)
     cutoff = Fraction(cutoff)
@@ -319,8 +314,9 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
             f"cutoff {cutoff} lies below the shifted norm {minimum_norm} of "
             f"the minimal k-type, which the table must contain"
         )
-    if p.k_weyl_order() > 1_000_000:
-        raise CapExceeded("reflection group exceeds the cap of 1000000 elements")
+    # the fold walks no group; without this check the E8 levi {1..8} table
+    # takes 0.2 s, but verify then runs past 40 s in the condition-2 search
+    refuse_weyl_order(p.k_weyl_order())
     generators = parab.ch_t_n_cap_kperp
     support = generators.support()
     sigmas, sig_den = to_integers(p.k_simple_roots)

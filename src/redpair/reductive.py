@@ -37,6 +37,7 @@ from .rootsystem import (
     WeylElement,
     _root_closure,
     enumerate_reflection_group,
+    refuse_weyl_order,
     weyl_group_order,
 )
 from .weights import FractionTable, Weight, WeightMultiset, fmt, neg, weight
@@ -109,11 +110,11 @@ class ReductivePair:
     def k_positive_multiset(self) -> WeightMultiset:
         return WeightMultiset(((w, 1) for w in self.k_positive_roots), rank=self.rank_t)
 
-    def k_weyl_group(self, max_size: int | None = 1_000_000) -> list[WeylElement]:
+    def k_weyl_group(self) -> list[WeylElement]:
         """The subalgebra's Weyl group acting on small-side weights, read
-        off the orbit of rho."""
-        return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing,
-                                          self.rho, max_size)
+        off the orbit of rho; refused by its order over MAX_WEYL."""
+        refuse_weyl_order(self.k_weyl_order())
+        return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing, self.rho)
 
     def k_weyl_order(self) -> int:
         """|W_k|, from the heights of the k-positive roots in k-simple-root

@@ -13,7 +13,9 @@ of that weight; ``weyl_group``, the small Weyl group of a pair and the
 Kostant weights of a k-type are all read off that walk.  The walk runs
 in integer coroot coordinates and makes each image a ``Fraction`` once;
 the Cartan matrix and the Weyl vector are likewise formed from integer
-sums.
+sums.  The walk counts nothing: its callers read the exact order off
+the root heights (``weyl_group_order``) and refuse a group over MAX_WEYL
+elements (``refuse_weyl_order``) before it starts.
 """
 
 from __future__ import annotations
@@ -49,10 +51,17 @@ _POSITIVE_ROOT_COUNT = {
 }
 
 MAX_POSITIVE_ROOTS = 200   # build_root_system refuses more (E8 has 120)
+MAX_WEYL = 1_000_000       # no Weyl group over this order is walked (|W(E7)| = 2903040)
 
 
 class CapExceeded(RuntimeError):
     """An enumeration would exceed its configured resource cap."""
+
+
+def refuse_weyl_order(order: int, cap: int = MAX_WEYL) -> None:
+    """Raise CapExceeded if a Weyl group of this order exceeds the cap."""
+    if order > cap:
+        raise CapExceeded(f"reflection group exceeds the cap of {cap} elements")
 
 
 @dataclass(frozen=True)
@@ -298,11 +307,11 @@ def fold_dominant(x: Weight, simple_roots: tuple[Weight, ...],
             return x
 
 
-def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
-                 max_size: int | None):
+def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing):
     """The breadth-first walk of ``reflection_orbit`` in integer coroot
     coordinates.  Returns (scale, nodes), each node (word, a) with
-    w x = x - sum_i a_i sigma_i / scale."""
+    w x = x - sum_i a_i sigma_i / scale.  It walks the whole group: the
+    callers refuse one over MAX_WEYL elements by its order first."""
     n = len(simple_roots)
     pairings = [coroot_pairing(x, i) for i in range(n)]
     for i, c in enumerate(pairings):
@@ -329,10 +338,6 @@ def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing,
                 if z in nxt:
                     continue
                 nxt[z] = ((i,) + word, a[:i] + (a[i] + ci,) + a[i + 1:])
-                if max_size is not None and len(nodes) + len(nxt) > max_size:
-                    raise CapExceeded(
-                        f"reflection group exceeds the cap of {max_size} elements"
-                    )
         nodes.extend(nxt.values())
         level = nxt
     return scale, nodes
@@ -359,7 +364,7 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
     so that w x = x - sum_i a_i sigma_i; the points are recovered from it
     once, at the end, in integers scaled by one common denominator.
     """
-    scale, nodes = _coroot_walk(x, simple_roots, coroot_pairing, None)
+    scale, nodes = _coroot_walk(x, simple_roots, coroot_pairing)
     orbit = [((), x)]
     if len(nodes) == 1:
         return orbit
@@ -402,27 +407,19 @@ class WeylElement:
 
 
 def enumerate_reflection_group(simple_roots: tuple[Weight, ...], coroot_pairing,
-                               rho: Weight,
-                               max_size: int | None = None) -> list[WeylElement]:
+                               rho: Weight) -> list[WeylElement]:
     """Every element of the group generated by the simple reflections,
     read off the orbit of the strictly dominant rho; depth equals length."""
-    _, nodes = _coroot_walk(rho, simple_roots, coroot_pairing, max_size)
+    _, nodes = _coroot_walk(rho, simple_roots, coroot_pairing)
     return [WeylElement(word, simple_roots, coroot_pairing) for word, _ in nodes]
 
 
-def weyl_group(rs: RootSystem, max_rank: int = 6,
-               max_size: int | None = None) -> list[WeylElement]:
-    """All Weyl group elements with correct lengths, breadth-first.
-
-    Full enumeration only; the rank cap guards against accidentally
-    asking for astronomically large groups.
-    """
-    if rs.rank > max_rank:
-        raise CapExceeded(
-            f"rank {rs.rank} exceeds the Weyl enumeration cap of {max_rank}"
-        )
-    return enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing,
-                                      rs.rho_tilde, max_size)
+def weyl_group(rs: RootSystem) -> list[WeylElement]:
+    """All Weyl group elements with correct lengths, breadth-first, of any
+    rank; a group over MAX_WEYL elements (E7, E8, D8, ...) is refused by
+    its exact order before the walk."""
+    refuse_weyl_order(weyl_group_order([[int(v) for v in row] for row in rs.cartan]))
+    return enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, rs.rho_tilde)
 
 
 def weyl_dim_from_roots(positive_roots: list[Weight],

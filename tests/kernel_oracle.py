@@ -6,11 +6,10 @@ whole rank."""
 
 from fractions import Fraction
 
-from redpair.rootsystem import CapExceeded
 from redpair.weights import WeightMultiset, neg
 
 
-def reflection_orbit(x, simple_roots, coroot_pairing, max_size=None):
+def reflection_orbit(x, simple_roots, coroot_pairing):
     """Breadth-first walk of the orbit of a strictly dominant x under
     y -> y - <y, sigma_i-coroot> sigma_i, on the points themselves."""
     for i in range(len(simple_roots)):
@@ -30,10 +29,6 @@ def reflection_orbit(x, simple_roots, coroot_pairing, max_size=None):
                 if z in nxt:
                     continue
                 nxt[z] = (i,) + word
-                if max_size is not None and len(orbit) + len(nxt) > max_size:
-                    raise CapExceeded(
-                        f"reflection group exceeds the cap of {max_size} elements"
-                    )
         orbit.extend((word, z) for z, word in nxt.items())
         level = nxt
     return orbit

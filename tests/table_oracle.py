@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from redpair.fundseries import PartitionCounter, euler_multiplicity
+from redpair.fundseries import PartitionCounter, kostant_weights
 from redpair.genericity import norm2_shifted
 from redpair.rootsystem import fold_dominant
 from redpair.weights import Weight, add, sub, zero
@@ -63,11 +63,12 @@ def _candidate_ktypes(p, parab, e, cutoff: Fraction) -> list[Weight]:
 
 def candidate_table(p, parab, e, cutoff) -> dict[Weight, int]:
     """The nonzero Euler multiplicities of the candidates, each a full
-    Kostant sum over W_k."""
+    Kostant sum over W_k, with one partition counter for all of them."""
     counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
     entries: dict[Weight, int] = {}
     for delta in _candidate_ktypes(p, parab, e, Fraction(cutoff)):
-        value = euler_multiplicity(p, parab, e, delta, counter=counter)
+        value = e.dim_e * sum((-1) ** length * counter.count(sub(w_weight, e.mu))
+                              for length, w_weight in kostant_weights(p, delta))
         if value != 0:
             entries[delta] = value
     return entries

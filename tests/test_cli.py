@@ -323,11 +323,11 @@ command = pair-info
         assert len(json.loads(out)["pair"]["k_positive_roots"]) == 36
 
 
-def test_full_e8_levi_fundseries_hits_the_default_cap_at_once(tmp_path):
-    # |W(E8)| = 696729600 exceeds the default cap of kostant_weights; the
-    # job must exit 4 without walking (and storing) a million orbit points
+def _assert_full_e8_levi_hits_the_default_cap(tmp_path, command):
+    # |W(E8)| = 696729600 exceeds rootsystem.MAX_WEYL; the job must exit 4
+    # without walking (and storing) a million orbit points
     cfg = write_config(tmp_path, "lie_type = E8\nk = levi\nnodes = [1, 2, 3, 4, 5, 6, 7, 8]\n"
-                                 "command = fundseries\nnu = [0, 0, 0, 0, 0, 0, 0, 0]\n")
+                                 f"command = {command}\nnu = [0, 0, 0, 0, 0, 0, 0, 0]\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     run = subprocess.run([sys.executable, "-m", "redpair.cli", "--config", cfg,
                           "--emit", "machine"], capture_output=True, text=True,
@@ -335,6 +335,15 @@ def test_full_e8_levi_fundseries_hits_the_default_cap_at_once(tmp_path):
     assert run.returncode == 4
     assert run.stdout == ""
     assert "cap of 1000000 elements" in run.stderr
+
+
+def test_full_e8_levi_fundseries_hits_the_default_cap_at_once(tmp_path):
+    _assert_full_e8_levi_hits_the_default_cap(tmp_path, "fundseries")
+
+
+def test_full_e8_levi_verify_hits_the_default_cap_at_once(tmp_path):
+    # the table's own W_k check stops verify before its condition-2 search
+    _assert_full_e8_levi_hits_the_default_cap(tmp_path, "verify")
 
 
 def test_unbounded_table_walk_exits_at_the_point_cap(tmp_path):
@@ -578,3 +587,24 @@ def test_human_and_machine_agree_on_table(tmp_path, capsys):
         delta = "[" + ", ".join(entry["delta"]) + "]"
         assert parsed[delta] == (entry["mult"], entry["norm2_shifted"])
     assert len(parsed) == len(doc["table"]["entries"])
+
+
+def test_human_emit_formats_no_json(tmp_path, capsys, monkeypatch):
+    # the machine JSON is formatted only in the modes that write it
+    cfg = write_config(tmp_path, A2_FUNDSERIES)
+    dumps = json.dumps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr("redpair.cli.json.dumps", counted)
+    out, made = {}, {}
+    for mode in ("human", "machine", "both"):
+        before = len(calls)
+        code, out[mode], _ = run_main(capsys, ["--config", cfg, "--emit", mode])
+        assert code == 0
+        made[mode] = len(calls) - before
+    assert made == {"human": 0, "machine": 1, "both": 1}
+    assert out["both"] == out["human"] + "--- machine ---\n" + out["machine"]

@@ -135,15 +135,16 @@ def test_kostant_weights_full_levi():
 
 
 def test_kostant_weights_refuses_a_large_weyl_group_before_walking(monkeypatch):
-    # |W(A4)| = 120 > 100: the order is read off the k-root heights, so
-    # the orbit walk must never start
+    # |W(E7)| = 2903040 and |W(E8)| = 696729600 exceed MAX_WEYL: the order
+    # is read off the k-root heights, so the orbit walk must never start
     def no_walk(*args, **kwargs):
         raise AssertionError("the orbit walk ran")
 
-    monkeypatch.setattr("redpair.fundseries.reflection_orbit", no_walk)
-    p = make_levi_pair(build_root_system("A4"), {1, 2, 3, 4})
-    with pytest.raises(CapExceeded, match="cap of 100 elements"):
-        kostant_weights(p, zero(4), max_weyl=100)
+    monkeypatch.setattr("redpair.rootsystem._coroot_walk", no_walk)
+    for name, rank in (("E7", 7), ("E8", 8)):
+        p = make_levi_pair(build_root_system(name), set(range(1, rank + 1)))
+        with pytest.raises(CapExceeded, match="cap of 1000000 elements"):
+            kostant_weights(p, zero(rank))
 
 
 def test_euler_multiplicity_examples(a2_setup):

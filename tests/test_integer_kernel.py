@@ -66,18 +66,24 @@ def test_kostant_weights_match_fraction_walk(case):
             sorted((len(word), sub(y, p.rho)) for word, y in expected)
 
 
-def test_orbit_of_a_fractional_point_and_its_cap():
+def test_orbit_of_a_fractional_point_and_its_cap(monkeypatch):
     rs = build_root_system("B3")
     x = (Fraction(5, 2), Fraction(13, 3), Fraction(31, 6))
     assert all(rs.coroot_pairing(x, i) > 0 for i in range(3))
     expected = kernel_oracle.reflection_orbit(x, rs.simple_roots, rs.coroot_pairing)
     assert reflection_orbit(x, rs.simple_roots, rs.coroot_pairing) == expected
-    # the cap of the group enumeration, which runs the same walk from x
-    for cap in (1, 7, 47):
-        with pytest.raises(CapExceeded, match=f"cap of {cap} elements"):
-            enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, x, max_size=cap)
-    assert len(enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, x,
-                                          max_size=48)) == 48
+    # the group enumeration runs the same walk from x
+    assert len(enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, x)) == 48
+
+    # the cap of the group enumeration is checked by exact order, before
+    # the walk: |W(E8)| = 696729600
+    def no_walk(*args):
+        raise AssertionError("the Weyl walk ran")
+
+    p = make_levi_pair(build_root_system("E8"), set(range(1, 9)))
+    monkeypatch.setattr("redpair.rootsystem._coroot_walk", no_walk)
+    with pytest.raises(CapExceeded, match="cap of 1000000 elements"):
+        p.k_weyl_group()
 
 
 def test_orbit_needs_integral_pairings_between_simple_roots():

@@ -4,6 +4,7 @@ import pytest
 
 from redpair.rootsystem import (
     MAX_POSITIVE_ROOTS,
+    MAX_WEYL,
     CapExceeded,
     LieType,
     _root_closure,
@@ -112,12 +113,19 @@ def test_weyl_words_are_reduced():
     assert len(by_image) == 8
 
 
-def test_weyl_rank_cap():
-    rs = build_root_system("A3")
-    with pytest.raises(CapExceeded):
-        weyl_group(rs, max_rank=2)
-    with pytest.raises(CapExceeded):
-        weyl_group(rs, max_size=5)
+def test_weyl_rank_cap(monkeypatch):
+    # the rank caps nothing: seven copies of A1 are walked; E7, E8 and D8
+    # exceed MAX_WEYL and are refused by their exact order, with no walk
+    assert MAX_WEYL == 1_000_000
+    assert len(weyl_group(build_root_system("x".join(["A1"] * 7)))) == 128
+
+    def no_walk(*args):
+        raise AssertionError("the Weyl walk ran")
+
+    monkeypatch.setattr("redpair.rootsystem._coroot_walk", no_walk)
+    for name in ("E7", "E8", "D8"):
+        with pytest.raises(CapExceeded, match="cap of 1000000 elements"):
+            weyl_group(build_root_system(name))
 
 
 def test_positive_root_count_cap():

@@ -13,8 +13,7 @@ from redpair.reductive import (
     make_levi_pair,
     make_sl2_pair,
 )
-from redpair.rootsystem import (CapExceeded, build_root_system, enumerate_reflection_group,
-                                reflection_orbit, weyl_group)
+from redpair.rootsystem import CapExceeded, build_root_system, reflection_orbit, weyl_group
 from redpair.weights import add, scale, sub, vec, zero
 from weyl_oracle import images, k_group, root_system_group
 
@@ -80,12 +79,18 @@ def test_k_weyl_group_and_kostant_weights_match_matrix_oracle(case):
         assert kostant_weights(p, delta) == expected
 
 
-def test_orbit_needs_a_strictly_dominant_base_point():
+def test_orbit_needs_a_strictly_dominant_base_point(monkeypatch):
     rs = build_root_system("A2")
     with pytest.raises(ValueError):
         reflection_orbit(vec(1, 0), rs.simple_roots, rs.coroot_pairing)
     orbit = reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_pairing)
     assert [len(word) for word, _ in orbit] == [0, 1, 1, 2, 2, 3]
-    with pytest.raises(CapExceeded):
-        enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, rs.rho_tilde,
-                                   max_size=5)
+
+    # |W(E7)| = 2903040 exceeds MAX_WEYL: refused by its order, not walked
+    def no_walk(*args):
+        raise AssertionError("the Weyl walk ran")
+
+    p = make_levi_pair(build_root_system("E7"), set(range(1, 8)))
+    monkeypatch.setattr("redpair.rootsystem._coroot_walk", no_walk)
+    with pytest.raises(CapExceeded, match="cap of 1000000 elements"):
+        p.k_weyl_group()
