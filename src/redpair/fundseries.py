@@ -10,8 +10,9 @@ function), and the inducing module, which for a minimal parabolic
 enters only through its dimension and the scalar by which the small
 Cartan acts.  The partition function counts in integer coordinates,
 scaled by the least common denominator D of its generators' coordinates;
-a target that is not integral after scaling by D counts 0.  Grouping
-the terms by degree i gives
+a target that is not integral after scaling by D counts 0.  Every count,
+of one target or of a whole table, comes from one walk and one sweep
+(``_walk``, ``_sweep``).  Grouping the terms by degree i gives
 
     kostant_terms[i] = dim E * sum_{len(w) = i} count(w(delta+rho) - rho - mu)
 
@@ -38,6 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .genericity import norm2_shifted
 from .linalg import mat_vec, transpose
@@ -120,6 +122,67 @@ def series_parabolic(p: ReductivePair, nu: Weight,
     )
 
 
+MAX_TABLE_POINTS = 1_000_000   # no partition walk covers more lattice points
+
+
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _steps(generators: WeightMultiset, scaled, ell, grading: Weight) -> list[tuple]:
+    """(beta, ell . beta, multiplicity) for each support weight of the
+    generators, beta its int row in ``scaled``; every step must be positive."""
+    steps = []
+    for b, beta in zip(generators.support(), scaled):
+        step = _dot(ell, beta)
+        if step <= 0:
+            raise ValueError(f"generator {fmt(b)} does not pair strictly positively "
+                             f"with the grading weight {fmt(grading)}")
+        steps.append((beta, step, generators.entries[b]))
+    return steps
+
+
+def _walk(start: tuple[int, ...], level: int, low: int, high: int, steps,
+          what: str) -> tuple[dict[tuple[int, ...], int], list[int]]:
+    """The points start + x with level in [low, high], x an N-combination of
+    the weights of ``steps``, with their levels, grown one weight at a time
+    (the first ends[m] by the first m + 1); refused past MAX_TABLE_POINTS."""
+    points = {start: level}
+    ends = []
+    for beta, step, _ in steps:
+        for y, level in list(points.items()):
+            y, level = tuple(map(operator.add, y, beta)), level + step
+            # a point already present has had (or will have) its own walk
+            while low <= level <= high and y not in points:
+                points[y] = level
+                if len(points) > MAX_TABLE_POINTS:
+                    raise CapExceeded(f"the {what} walk exceeds the cap of "
+                                      f"{MAX_TABLE_POINTS} lattice points")
+                y, level = tuple(map(operator.add, y, beta)), level + step
+        ends.append(len(points))
+    return points, ends
+
+
+def _sweep(points: dict[tuple[int, ...], int], origin: tuple[int, ...],
+           passes) -> dict[tuple[int, ...], int]:
+    """P[y], the ways from origin to each walked point y: for each pair
+    (end, (beta, step, multiplicity)) of ``passes``, one pass per copy of
+    beta over the first ``end`` points in level order, P[y] += P[y - beta].
+    P is exact where every way, in pass order, stays inside each pass."""
+    count = dict.fromkeys(points, 0)
+    count[origin] = 1
+    for end, (beta, _, mult) in passes:
+        # in level order, y - beta is counted (for this copy too) before y
+        layer = sorted(islice(points, end), key=points.__getitem__)
+        for _ in range(mult):
+            for y in layer:
+                below = count.get(tuple(map(operator.sub, y, beta)))
+                if below:
+                    count[y] += below
+        del layer               # before the next layer is sorted
+    return count
+
+
 class PartitionCounter:
     """Vector partition function for a fixed generator multiset.
 
@@ -127,15 +190,17 @@ class PartitionCounter:
     N-combination of the generators, a weight of multiplicity m acting
     as m independent generators (the coefficient of the target in
     prod (1 - e^beta)^(-mult beta)).  Every generator must pair
-    strictly positively with the grading weight, which makes the
-    memoized recursion terminate.
+    strictly positively with the grading weight, which bounds the walk.
 
     Counting runs in integer coordinates.  The generators are scaled by
     the least common denominator D of their coordinates, the level
     functional ell = t_gram . grading by its own denominator, and each
     generator carries its integer level step.  A target is scaled by D
     on entry; one that is then not integral is off the lattice of every
-    N-combination and counts 0.
+    N-combination and counts 0.  Otherwise the walk goes down from the
+    target to level 0, largest step first, and the sweep counts up from 0
+    in reverse walk order: each way by generators m, m + 1, ... to a point
+    that the first m + 1 reach stays among those points.
     """
 
     def __init__(self, p: ReductivePair, generators: WeightMultiset,
@@ -147,27 +212,16 @@ class PartitionCounter:
         self._check_rank(grading)
         # ell . y = t_pair(grading, y)
         (self._ell,), _ = to_integers([mat_vec(transpose(p.t_gram), grading)])
-        support = generators.support()
-        scaled, self._scale = to_integers(support)
-        self._generators: list[tuple[tuple[int, ...], int, int]] = []
-        for b, beta in zip(support, map(tuple, scaled)):
-            step = self._level(beta)
-            if step <= 0:
-                raise ValueError(
-                    f"generator {fmt(b)} does not pair strictly positively with "
-                    f"the grading weight {fmt(grading)}"
-                )
-            self._generators.append((beta, step, generators.entries[b]))
+        scaled, self._scale = to_integers(generators.support())
         # largest step first; the sort is stable, so ties keep weight order
-        self._generators.sort(key=lambda g: -g[1])
-        self._memo: dict[tuple[tuple[int, ...], int], int] = {}
+        self._steps = sorted(_steps(generators, map(tuple, scaled), self._ell, grading),
+                             key=lambda g: -g[1])
+        self._down = [(tuple(-c for c in beta), -step, mult)
+                      for beta, step, mult in self._steps]
 
     def _check_rank(self, x: Weight) -> None:
         if len(x) != self.rank:
             raise ValueError(f"expected a weight of rank {self.rank}, got length {len(x)}")
-
-    def _level(self, x: tuple[int, ...]) -> int:
-        return sum(a * b for a, b in zip(self._ell, x))
 
     def count(self, target: Weight) -> int:
         self._check_rank(target)
@@ -175,27 +229,9 @@ class PartitionCounter:
         if any(c.denominator != 1 for c in scaled):
             return 0
         x = tuple(c.numerator for c in scaled)
-        return self._count(x, self._level(x), 0)
-
-    def _count(self, x: tuple[int, ...], level: int, i: int) -> int:
-        if level <= 0:
-            return 1 if level == 0 and not any(x) else 0
-        if i == len(self._generators):
-            return 0
-        key = (x, i)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        beta, step, mult = self._generators[i]
-        total = 0
-        j = 0
-        while level >= 0:
-            total += math.comb(j + mult - 1, mult - 1) * self._count(x, level, i + 1)
-            x = tuple(map(operator.sub, x, beta))
-            level -= step
-            j += 1
-        self._memo[key] = total
-        return total
+        level = _dot(self._ell, x)
+        points, ends = _walk(x, level, 0, level, self._down, "partition count")
+        return _sweep(points, (0,) * self.rank, reversed(list(zip(ends, self._steps))))[x]
 
 
 def kostant_weights(p: ReductivePair, delta: Weight) -> list[tuple[int, Weight]]:
@@ -263,13 +299,6 @@ class MultiplicityTable:
         return sorted(self.entries.items(), key=lambda kv: (self.norms[kv[0]], kv[0]))
 
 
-MAX_TABLE_POINTS = 1_000_000   # ktype_table refuses a walk over more lattice points
-
-
-def _dot(u, v) -> int:
-    return sum(map(operator.mul, u, v))
-
-
 def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
                 e: InducingModule, cutoff: Fraction | int) -> MultiplicityTable:
     """All nonzero Euler multiplicities at dominant integral weights whose
@@ -297,7 +326,7 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     most |lam| sqrt(R), tested squared; each weight raises the level, so
     the points under that cap are grown one support weight at a time and
     form a set closed under removing a weight.  P on that set comes from
-    one sweep per generator copy in level order, P[y] += P[y - b].
+    ``_sweep``, the passes in walk order, each over the points so far.
 
     The walk, the counts and the fold run on int tuples: weights scaled
     by D = lcm(denominators of mu + rho, rho and the support) times the
@@ -318,52 +347,30 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     # takes 0.2 s, but verify then runs past 40 s in the condition-2 search
     refuse_weyl_order(p.k_weyl_order())
     generators = parab.ch_t_n_cap_kperp
-    support = generators.support()
     sigmas, sig_den = to_integers(p.k_simple_roots)
     funs, fun_den = to_integers(p.k_coroot_functionals)
     q = sig_den * fun_den
-    rows, base = to_integers([add(e.mu, p.rho), p.rho, *support])
+    rows, base = to_integers([add(e.mu, p.rho), p.rho, *generators.support()])
     den = base * q
-    start, rho, *steps = [tuple(q * c for c in row) for row in rows]
+    start, rho, *scaled = [tuple(q * c for c in row) for row in rows]
     gram, gram_den = to_integers(p.t_gram)
     (ell,), ell_den = to_integers([mat_vec(transpose(p.t_gram), parab.lam)])
 
     def norm2(y) -> int:        # |y / D|^2 times gram_den D^2
         return _dot(y, [_dot(row, y) for row in gram])
 
-    # lam-level cap, level^2 <= |lam|^2 R, and ball |y|^2 <= R, in the
-    # same integer units as ell . y and norm2(y)
+    # lam-level cap, level^2 <= |lam|^2 R (for an int level: level <= the
+    # isqrt of its floor), and ball |y|^2 <= R, in the same integer units
+    # as ell . y and norm2(y)
     radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
     cap2 = p.t_pair(parab.lam, parab.lam) * radius2 * (ell_den * den) ** 2
-    cap_num, cap_den = cap2.numerator, cap2.denominator
     ball = radius2 * gram_den * den * den
     ball_num, ball_den = ball.numerator, ball.denominator
-
-    points: dict[tuple[int, ...], int] = {start: _dot(ell, start)}
-    for b, beta in zip(support, steps):
-        step = _dot(ell, beta)
-        if step <= 0:
-            raise ValueError(f"generator {fmt(b)} does not pair strictly positively "
-                             f"with the grading weight {fmt(parab.lam)}")
-        for y, level in list(points.items()):
-            y, level = tuple(map(operator.add, y, beta)), level + step
-            # a point already present has had (or will have) its own walk
-            while (level <= 0 or level * level * cap_den <= cap_num) and y not in points:
-                points[y] = level
-                if len(points) > MAX_TABLE_POINTS:
-                    raise CapExceeded(f"the k-type table walk exceeds the cap of "
-                                      f"{MAX_TABLE_POINTS} lattice points")
-                y, level = tuple(map(operator.add, y, beta)), level + step
-
-    # in level order, y - beta is counted (for this copy too) before y
-    count = dict.fromkeys(sorted(points, key=points.__getitem__), 0)
-    count[start] = 1
-    for beta, mult in zip(steps, (generators.entries[b] for b in support)):
-        for _ in range(mult):
-            for y in count:
-                below = count.get(tuple(map(operator.sub, y, beta)))
-                if below:
-                    count[y] += below
+    steps = _steps(generators, scaled, ell, parab.lam)
+    level = _dot(ell, start)
+    points, ends = _walk(start, level, level, math.isqrt(max(0, math.floor(cap2))), steps,
+                         "k-type table")
+    count = _sweep(points, start, zip(ends, steps))
 
     # the fold: y -> y - <y, sigma_i-coroot> sigma_i while a pairing is
     # negative, the pairings c = fun_den D <y, sigma_j-coroot> carried along

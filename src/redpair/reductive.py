@@ -12,8 +12,8 @@ the rest once:
 - the restriction of every positive root of the ambient algebra, as int
   rows scaled by the common denominator of the restriction and as weights;
 - the k-positive roots, the integer root closure of the k Cartan matrix
-  <sigma_i, sigma_j-coroot> combined with the k-simple roots, and rho,
-  half their sum.
+  <sigma_i, sigma_j-coroot> combined with the k-simple roots, rho, half
+  their sum, and |W_k|, read off the heights of the closure.
 
 When the restriction is the identity, which the constructor reads off the
 matrix itself, the section is the identity, the induced form is the
@@ -57,6 +57,7 @@ class ReductivePair:
     restricted_positive: tuple[Weight, ...]  # restrictions of g.positive_roots, in order
     restricted_integers: tuple[tuple[int, ...], ...]  # the same, times one denominator
     embedding_kind: str
+    k_weyl_size: int               # |W_k|, from the heights of the k-positive roots
 
     @cached_property
     def delta_t(self) -> frozenset[Weight]:
@@ -117,13 +118,9 @@ class ReductivePair:
         return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing, self.rho)
 
     def k_weyl_order(self) -> int:
-        """|W_k|, from the heights of the k-positive roots in k-simple-root
-        coordinates; nothing is enumerated, and a pair computes it once."""
-        return self._k_weyl_order
-
-    @cached_property
-    def _k_weyl_order(self) -> int:
-        return weyl_group_order(_k_cartan(self.k_simple_roots, self.k_coroot_functionals))
+        """|W_k|, read off the heights of the k-positive roots when the
+        pair is built; nothing is enumerated."""
+        return self.k_weyl_size
 
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
@@ -195,7 +192,7 @@ def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
     rank_t = len(restriction)
     rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
     return ReductivePair(g, rank_t, restriction, lift, t_gram, k_simple, functionals,
-                         k_positive, rho, restricted, scaled, kind)
+                         k_positive, rho, restricted, scaled, kind, weyl_group_order(closure))
 
 
 def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:

@@ -228,15 +228,15 @@ def _root_closure(a: list[list[int]],
     return [r for lev in all_levels for r in sorted(lev)]
 
 
-def weyl_group_order(cartan: list[list[int]]) -> int:
+def weyl_group_order(positive_roots) -> int:
     """|W| = prod (e_i + 1) over the exponents e_i, read off the heights of
-    the positive roots: N_h - N_{h+1} exponents equal h, where N_h counts
-    the roots of height h (Kostant, Amer. J. Math. 81 (1959); Humphreys,
-    Reflection Groups and Coxeter Groups, 3.20).  Products need no special
-    case, and the empty matrix gives 1."""
+    the positive roots, given in simple-root coordinates: N_h - N_{h+1}
+    exponents equal h, where N_h counts the roots of height h (Kostant,
+    Amer. J. Math. 81 (1959); Humphreys, Reflection Groups and Coxeter
+    Groups, 3.20).  Products need no special case, and no roots give 1."""
     heights: dict[int, int] = {}
-    for root in _root_closure(cartan):
-        h = sum(root)
+    for root in positive_roots:
+        h = int(sum(root))
         heights[h] = heights.get(h, 0) + 1
     order = 1
     for h, count in heights.items():
@@ -418,7 +418,7 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     """All Weyl group elements with correct lengths, breadth-first, of any
     rank; a group over MAX_WEYL elements (E7, E8, D8, ...) is refused by
     its exact order before the walk."""
-    refuse_weyl_order(weyl_group_order([[int(v) for v in row] for row in rs.cartan]))
+    refuse_weyl_order(weyl_group_order(rs.positive_roots))
     return enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, rs.rho_tilde)
 
 

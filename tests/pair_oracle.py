@@ -1,7 +1,7 @@
 """The four pair factories as they were before they shared one
-constructor, each filling every field of ``ReductivePair`` by hand, and
-the orthogonal section by two ``Fraction`` inverses; kept as the oracle
-of ``redpair.reductive``."""
+constructor, each filling every field of ``ReductivePair`` by hand, the
+orthogonal section by two ``Fraction`` inverses and |W_k| by enumerating
+the group; kept as the oracle of ``redpair.reductive``."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,7 @@ from fractions import Fraction
 import kernel_oracle
 from redpair.linalg import Matrix, identity, mat_mul, to_integers, transpose
 from redpair.reductive import ReductivePair
-from redpair.rootsystem import RootSystem, _root_closure
+from redpair.rootsystem import RootSystem, _root_closure, enumerate_reflection_group
 from redpair.weights import FractionTable, Weight, WeightMultiset, fmt, weight, zero
 
 
@@ -33,6 +33,14 @@ def _scaled(restriction: Matrix, restricted: tuple[Weight, ...]) -> tuple[tuple[
     scaled = tuple(tuple(c * den for c in r) for r in restricted)
     assert all(c.denominator == 1 for r in scaled for c in r)
     return tuple(tuple(c.numerator for c in r) for r in scaled)
+
+
+def _weyl_size(k_simple, functionals, rho: Weight) -> int:
+    """|W_k|, the number of elements the simple reflections generate on the
+    orbit of rho."""
+    def pairing(x: Weight, i: int) -> Fraction:
+        return sum(a * b for a, b in zip(functionals[i], x))
+    return len(enumerate_reflection_group(k_simple, pairing, rho))
 
 
 def _restrict_positive(g: RootSystem, restriction: Matrix) -> tuple[Weight, ...]:
@@ -81,6 +89,7 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
         k_coroot_functionals=(one_vec,),
         k_positive_roots=(two,),
         rho=weight([1]),
+        k_weyl_size=_weyl_size((two,), (one_vec,), weight([1])),
         restricted_positive=restricted,
         restricted_integers=_scaled(restriction, restricted),
         embedding_kind="sl2-characteristic",
@@ -101,6 +110,7 @@ def make_cartan_pair(g: RootSystem) -> ReductivePair:
         k_coroot_functionals=(),
         k_positive_roots=(),
         rho=zero(g.rank),
+        k_weyl_size=_weyl_size((), (), zero(g.rank)),
         restricted_positive=g.positive_roots,
         restricted_integers=_scaled(ident, g.positive_roots),
         embedding_kind="cartan",
@@ -136,6 +146,7 @@ def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
         k_coroot_functionals=functionals,
         k_positive_roots=k_positive,
         rho=rho,
+        k_weyl_size=_weyl_size(k_simple, functionals, rho),
         restricted_positive=g.positive_roots,
         restricted_integers=_scaled(ident, g.positive_roots),
         embedding_kind="levi",
@@ -218,6 +229,7 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
     ms: dict[Weight, int] = {}
     for root in k_positive:
         ms[root] = ms.get(root, 0) + 1
+    rho = WeightMultiset(ms, rank=rank_t).half_sum()
     pair = ReductivePair(
         g=g,
         rank_t=rank_t,
@@ -227,7 +239,8 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
         k_simple_roots=k_simple,
         k_coroot_functionals=functionals,
         k_positive_roots=tuple(k_positive),
-        rho=WeightMultiset(ms, rank=rank_t).half_sum(),
+        rho=rho,
+        k_weyl_size=_weyl_size(k_simple, functionals, rho),
         restricted_positive=_restrict_positive(g, restriction),
         restricted_integers=_scaled(restriction, _restrict_positive(g, restriction)),
         embedding_kind="explicit",

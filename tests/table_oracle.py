@@ -2,13 +2,15 @@
 the signed fold: a ``Fraction`` walk for the candidate deltas, then one
 Euler characteristic per candidate, read off the W_k-orbit of delta +
 rho with one partition count per Weyl element.  Kept as the oracle of
-the fold."""
+the fold; it counts with the memoized recursion of ``partition_oracle``,
+so that no part of it runs the sweep it checks."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from redpair.fundseries import PartitionCounter, kostant_weights
+from partition_oracle import IntegerCounter
+from redpair.fundseries import kostant_weights
 from redpair.genericity import norm2_shifted
 from redpair.rootsystem import fold_dominant
 from redpair.weights import Weight, add, sub, zero
@@ -64,7 +66,7 @@ def _candidate_ktypes(p, parab, e, cutoff: Fraction) -> list[Weight]:
 def candidate_table(p, parab, e, cutoff) -> dict[Weight, int]:
     """The nonzero Euler multiplicities of the candidates, each a full
     Kostant sum over W_k, with one partition counter for all of them."""
-    counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
+    counter = IntegerCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
     entries: dict[Weight, int] = {}
     for delta in _candidate_ktypes(p, parab, e, Fraction(cutoff)):
         value = e.dim_e * sum((-1) ** length * counter.count(sub(w_weight, e.mu))

@@ -252,8 +252,7 @@ def test_weyl_group_order_of_exceptional_types():
     orders = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600,
               "A1xA1": 4, "B2xG2": 96, "D8": 5160960}
     for name, order in orders.items():
-        cartan = build_root_system(name).cartan
-        assert weyl_group_order([[int(v) for v in row] for row in cartan]) == order
+        assert weyl_group_order(build_root_system(name).positive_roots) == order
     assert weyl_group_order(()) == 1
 
 

@@ -1,18 +1,22 @@
-"""The integer partition counter against the ``Fraction`` recursion it
-replaced: equal counts on the point-query shapes of the benchmark, at
-the zero target, at negative levels, off the lattice, and for a pair
-whose generators have non-integer coordinates."""
+"""The partition counter's sweep against the two memoized recursions of
+partition_oracle, in ``Fraction`` and in integer coordinates: equal
+counts on the point-query shapes of the benchmark, at the zero target,
+at negative levels, off the lattice, for a pair whose generators have
+non-integer coordinates, and for generators of multiplicity > 1 in rank
+one and two.  The counter's walk is refused past the table's point cap."""
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from redpair import fundseries
 from redpair.fundseries import PartitionCounter, inducing_module, kostant_weights
 from redpair.parabolic import compatible_parabolic
 from redpair.reductive import make_cartan_pair, make_explicit_pair, make_sl2_pair
-from redpair.rootsystem import build_root_system
+from redpair.rootsystem import CapExceeded, build_root_system
 from redpair.weights import add, scale, sub, vec, zero
+from partition_oracle import IntegerCounter
 from partition_oracle import PartitionCounter as OracleCounter
 
 # targets x = delta - mu of the Cartan point queries; A2 and A3 also take
@@ -28,27 +32,33 @@ CARTAN_SHAPES = {
 PRINCIPAL_STEPS = {"A2": [80, 90, 100, 110], "B2": [50, 60, 70, 80]}
 
 
+def counters(p, generators, grading):
+    """The counter and its two oracles for one generator multiset."""
+    args = (p, generators, grading)
+    return PartitionCounter(*args), (OracleCounter(*args), IntegerCounter(*args))
+
+
 def cartan_counters(lie):
-    """The counter and the oracle of a Cartan point query, with their
+    """The counter and the oracles of a Cartan point query, with their
     generators."""
     p = make_cartan_pair(build_root_system(lie))
     parab = compatible_parabolic(p, p.g.rho_tilde)
-    args = (p, parab.ch_t_n_cap_kperp, parab.lam)
-    return PartitionCounter(*args), OracleCounter(*args), parab.ch_t_n_cap_kperp
+    return (*counters(p, parab.ch_t_n_cap_kperp, parab.lam), parab.ch_t_n_cap_kperp)
 
 
-def assert_equal_counts(counter, oracle, targets):
+def assert_equal_counts(counter, oracles, targets):
     for target in targets:
-        assert counter.count(target) == oracle.count(target), target
+        value = counter.count(target)
+        assert all(oracle.count(target) == value for oracle in oracles), target
 
 
 @pytest.mark.parametrize("lie", sorted(CARTAN_SHAPES))
 def test_cartan_point_queries_match_oracle(lie):
-    counter, oracle, _ = cartan_counters(lie)
+    counter, oracles, _ = cartan_counters(lie)
     shapes = CARTAN_SHAPES[lie]
     if lie in ("A2", "A3"):
         shapes = shapes + [x[::-1] for x in shapes]
-    assert_equal_counts(counter, oracle, [vec(*x) for x in shapes])
+    assert_equal_counts(counter, oracles, [vec(*x) for x in shapes])
     assert counter.count(vec(*shapes[0])) > 0
 
 
@@ -57,28 +67,58 @@ def test_principal_point_queries_match_oracle(lie):
     g = build_root_system(lie)
     p = make_sl2_pair(g, [2] * g.rank)
     parab = compatible_parabolic(p, vec(5))
-    args = (p, parab.ch_t_n_cap_kperp, parab.lam)
-    counter, oracle = PartitionCounter(*args), OracleCounter(*args)
+    counter, oracles = counters(p, parab.ch_t_n_cap_kperp, parab.lam)
     e = inducing_module(p, parab, p.lift_weight(vec(-3)))
     targets = []
     for j in PRINCIPAL_STEPS[lie]:
         delta = add(e.mu, vec(2 * j))
         targets += [sub(w, e.mu) for _, w in kostant_weights(p, delta)]
-    assert_equal_counts(counter, oracle, targets)
+    assert_equal_counts(counter, oracles, targets)
+
+
+def test_repeated_generators_in_rank_two():
+    # restriction (a, b, c) -> (a + c, b) of A3 with no k-roots: the
+    # weights (1, 0) and (1, 1) of ch_t n each come from two roots
+    p = make_explicit_pair(build_root_system("A3"), [[1, 0, 1], [0, 1, 0]], [], [])
+    generators = compatible_parabolic(p, vec(3, 1)).ch_t_n
+    assert generators.entries[vec(1, 0)] == generators.entries[vec(1, 1)] == 2
+    counter, oracles = counters(p, generators, vec(3, 1))
+    assert_equal_counts(counter, oracles,
+                        [vec(a, b) for a in range(-2, 13) for b in range(-2, 13)])
+    # (2, 1) once, (1, 1) + (1, 0) in 2 * 2 ways, 2 (1, 1) + (0, -1) in 3
+    assert counter.count(vec(2, 1)) == 8
+
+
+def test_repeated_generators_of_a_rank_one_pair():
+    p = make_sl2_pair(build_root_system("D4"), [0, 2, 0, 0])
+    generators = compatible_parabolic(p, vec(5)).ch_t_n_cap_kperp
+    assert generators.entries == {vec(2): 7, vec(4): 1}
+    counter, oracles = counters(p, generators, vec(5))
+    assert_equal_counts(counter, oracles, [vec(n) for n in range(-3, 81)])
+
+
+def test_e6_principal_counts_match_the_integer_recursion():
+    p = make_sl2_pair(build_root_system("E6"), [2] * 6)
+    generators = compatible_parabolic(p, vec(5)).ch_t_n_cap_kperp
+    counter = PartitionCounter(p, generators, vec(5))
+    oracle = IntegerCounter(p, generators, vec(5))
+    assert max(generators.entries.values()) > 1
+    assert_equal_counts(counter, [oracle], [vec(j) for j in range(201)])
 
 
 @pytest.mark.parametrize("lie", ["A2", "B2", "G2", "B3"])
 def test_zero_negative_and_off_lattice_targets(lie):
-    counter, oracle, generators = cartan_counters(lie)
+    counter, oracles, generators = cartan_counters(lie)
     rank = counter.rank
-    assert counter.count(zero(rank)) == oracle.count(zero(rank)) == 1
+    assert_equal_counts(counter, oracles, [zero(rank)])
+    assert counter.count(zero(rank)) == 1
     beta = generators.support()[0]
     negative = [sub(zero(rank), beta), tuple(Fraction(-1) for _ in range(rank)),
                 sub(beta, scale(3, beta))]
     half = tuple(Fraction(1, 2) if i == 0 else Fraction(3) for i in range(rank))
     off_lattice = [half, add(beta, half), tuple(Fraction(5, 3) for _ in range(rank))]
-    for target in negative + off_lattice:
-        assert counter.count(target) == oracle.count(target) == 0, target
+    assert_equal_counts(counter, oracles, negative + off_lattice)
+    assert not any(counter.count(target) for target in negative + off_lattice)
 
 
 def tally_combinations(p, generators, grading, bound):
@@ -107,8 +147,7 @@ def test_non_integral_generators_match_enumeration():
     assert all(any(c.denominator > 1 for c in b) for b in generators.support())
     bound = Fraction(24)
     tally = tally_combinations(p, generators.support(), grading, bound)
-    counter = PartitionCounter(p, generators, grading)
-    oracle = OracleCounter(p, generators, grading)
+    counter, oracles = counters(p, generators, grading)
     checked = Counter()
     for a in range(-4, 17):
         for b in range(-12, 25):
@@ -116,18 +155,38 @@ def test_non_integral_generators_match_enumeration():
             if p.t_pair(grading, target) > bound:
                 continue
             expected = tally.get(target, 0)
-            assert counter.count(target) == oracle.count(target) == expected, target
+            assert counter.count(target) == expected, target
+            assert_equal_counts(counter, oracles, [target])
             checked[expected > 0] += 1
     assert checked[True] > 20 and checked[False] > 100
 
 
 def test_count_rejects_wrong_rank():
-    counter, oracle, generators = cartan_counters("A2")
+    counter, oracles, generators = cartan_counters("A2")
     for target in (vec(1), vec(1, 2, 3)):
-        with pytest.raises(ValueError):
-            counter.count(target)
-        with pytest.raises(ValueError):
-            oracle.count(target)
+        for c in (counter, *oracles):
+            with pytest.raises(ValueError):
+                c.count(target)
     p = make_cartan_pair(build_root_system("A2"))
     with pytest.raises(ValueError):
         PartitionCounter(p, generators, vec(1))
+
+
+@pytest.mark.parametrize("lie, x", [("A2", (7, 21)), ("B2", (5, 10)), ("G2", (4, 8))])
+def test_count_walk_fits_the_point_cap(monkeypatch, lie, x):
+    # the walk of a count visits the distinct combinations of level at
+    # most the target's: it fits a cap of exactly that many points and is
+    # refused by one fewer
+    p = make_cartan_pair(build_root_system(lie))
+    grading = p.g.rho_tilde
+    generators = compatible_parabolic(p, grading).ch_t_n_cap_kperp
+    target = vec(*x)
+    size = len(tally_combinations(p, generators.support(), grading,
+                                  p.t_pair(grading, target)))
+    counter, (oracle, _) = counters(p, generators, grading)
+    monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", size)
+    assert counter.count(target) == oracle.count(target) > 0
+    monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", size - 1)
+    with pytest.raises(CapExceeded, match=f"partition count walk exceeds the cap "
+                                          f"of {size - 1} lattice points"):
+        counter.count(target)
