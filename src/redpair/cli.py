@@ -359,7 +359,7 @@ def run_job(job: dict, args) -> dict:
             raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
         # guard: refuse jobs whose small Weyl group is larger than the cap,
         # its order read off the k-root heights without enumerating it
-        refuse_weyl_order(p.k_weyl_order(), cap)
+        refuse_weyl_order(p.k_weyl_order, cap)
     doc: dict = {
         "job": {
             "lie_type": job["lie_type"],

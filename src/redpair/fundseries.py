@@ -42,8 +42,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .genericity import norm2_shifted
-from .linalg import mat_vec, transpose
-from .parabolic import CompatibleParabolic, compatible_parabolic, is_regular
+from .linalg import dot
+from .parabolic import CompatibleParabolic, _grading, compatible_parabolic, is_regular
 from .reductive import ReductivePair
 from .rootsystem import (CapExceeded, RootSystem, fold_dominant, reflection_orbit,
                          refuse_weyl_order, weyl_dim_from_roots)
@@ -125,16 +125,12 @@ def series_parabolic(p: ReductivePair, nu: Weight,
 MAX_TABLE_POINTS = 1_000_000   # no partition walk covers more lattice points
 
 
-def _dot(u, v) -> int:
-    return sum(map(operator.mul, u, v))
-
-
 def _steps(generators: WeightMultiset, scaled, ell, grading: Weight) -> list[tuple]:
     """(beta, ell . beta, multiplicity) for each support weight of the
     generators, beta its int row in ``scaled``; every step must be positive."""
     steps = []
     for b, beta in zip(generators.support(), scaled):
-        step = _dot(ell, beta)
+        step = dot(ell, beta)
         if step <= 0:
             raise ValueError(f"generator {fmt(b)} does not pair strictly positively "
                              f"with the grading weight {fmt(grading)}")
@@ -210,8 +206,7 @@ class PartitionCounter:
             raise ValueError(f"expected generators of rank {self.rank}, "
                              f"got rank {generators.rank}")
         self._check_rank(grading)
-        # ell . y = t_pair(grading, y)
-        (self._ell,), _ = to_integers([mat_vec(transpose(p.t_gram), grading)])
+        self._ell, _ = _grading(p, grading)
         scaled, self._scale = to_integers(generators.support())
         # largest step first; the sort is stable, so ties keep weight order
         self._steps = sorted(_steps(generators, map(tuple, scaled), self._ell, grading),
@@ -229,7 +224,7 @@ class PartitionCounter:
         if any(c.denominator != 1 for c in scaled):
             return 0
         x = tuple(c.numerator for c in scaled)
-        level = _dot(self._ell, x)
+        level = dot(self._ell, x)
         points, ends = _walk(x, level, 0, level, self._down, "partition count")
         return _sweep(points, (0,) * self.rank, reversed(list(zip(ends, self._steps))))[x]
 
@@ -241,7 +236,7 @@ def kostant_weights(p: ReductivePair, delta: Weight) -> list[tuple[int, Weight]]
     defect = p.dominance_defect(delta)
     if defect is not None:
         raise ValueError(f"delta is not dominant integral: {defect}")
-    refuse_weyl_order(p.k_weyl_order())
+    refuse_weyl_order(p.k_weyl_order)
     orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots, p.coroot_pairing)
     return sorted((len(word), sub(y, p.rho)) for word, y in orbit)
 
@@ -345,7 +340,7 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
         )
     # the fold walks no group; without this check the E8 levi {1..8} table
     # takes 0.2 s, but verify then runs past 40 s in the condition-2 search
-    refuse_weyl_order(p.k_weyl_order())
+    refuse_weyl_order(p.k_weyl_order)
     generators = parab.ch_t_n_cap_kperp
     sigmas, sig_den = to_integers(p.k_simple_roots)
     funs, fun_den = to_integers(p.k_coroot_functionals)
@@ -354,10 +349,10 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     den = base * q
     start, rho, *scaled = [tuple(q * c for c in row) for row in rows]
     gram, gram_den = to_integers(p.t_gram)
-    (ell,), ell_den = to_integers([mat_vec(transpose(p.t_gram), parab.lam)])
+    ell, ell_den = _grading(p, parab.lam)
 
     def norm2(y) -> int:        # |y / D|^2 times gram_den D^2
-        return _dot(y, [_dot(row, y) for row in gram])
+        return dot(y, [dot(row, y) for row in gram])
 
     # lam-level cap, level^2 <= |lam|^2 R (for an int level: level <= the
     # isqrt of its floor), and ball |y|^2 <= R, in the same integer units
@@ -367,19 +362,19 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     ball = radius2 * gram_den * den * den
     ball_num, ball_den = ball.numerator, ball.denominator
     steps = _steps(generators, scaled, ell, parab.lam)
-    level = _dot(ell, start)
+    level = dot(ell, start)
     points, ends = _walk(start, level, level, math.isqrt(max(0, math.floor(cap2))), steps,
                          "k-type table")
     count = _sweep(points, start, zip(ends, steps))
 
     # the fold: y -> y - <y, sigma_i-coroot> sigma_i while a pairing is
     # negative, the pairings c = fun_den D <y, sigma_j-coroot> carried along
-    cartan = [[_dot(f, s) // q for f in funs] for s in sigmas]
+    cartan = [[dot(f, s) // q for f in funs] for s in sigmas]
     folded: dict[tuple[int, ...], int] = {}
     for y, n in count.items():
         if norm2(y) * ball_den > ball_num:
             continue
-        c = [_dot(f, y) for f in funs]
+        c = [dot(f, y) for f in funs]
         while True:
             for i, ci in enumerate(c):
                 if ci < 0:

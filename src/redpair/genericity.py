@@ -37,8 +37,17 @@ bound that prunes any branch all of whose completions provably keep the
 quadratic positive.  One such search answers both questions: whether a
 violation exists, and, held to one exact size at a time for sizes
 1, 2, ..., the smallest failing submultiset reported as the witness.
-The tests keep an exhaustive enumerator and the unpruned size-by-size
-scan as oracles of both paths.
+
+The scan runs in ints.  Write b_i = B_i / D, c = C / E and the form as
+G / F, each over its least common denominator.  For S with counts n,
+4 F D^2 E t_pair(c - rho_S, rho_S) = sum n_i cvals[i] - sum n_i n_j
+pairs[i][j], with cvals[i] = 2 D B_i G C and pairs[i][j] = E B_i G B_j;
+the partial sums and both bounds are carried in these units.  The scale
+is positive, so every prune and every leaf has the sign it has in exact
+rationals, and sorting by decreasing B_i G C is sorting by decreasing
+t_pair(c, b_i): the same branches are cut and the same witness found.
+The tests keep an exact-rational copy of the scan, an exhaustive
+enumerator and the unpruned size-by-size scan as oracles of both paths.
 """
 
 from __future__ import annotations
@@ -49,7 +58,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .parabolic import _grading, _regular, split_roots
+from .linalg import dot
+from .parabolic import _regular, split_roots
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, add, scale, sub, to_integers
 
@@ -71,12 +81,13 @@ class _Condition2Search:
     def __init__(self, p: ReductivePair, c: Weight, ms: WeightMultiset):
         self.p = p
         self.c = c
-        # Largest pairing first, by int pairings with the scaled grading
-        # functional of c: dominant-chamber weights fail fastest.
-        ell = _grading(p, c)
         rows, self._den = to_integers(ms.entries)
+        (c_row,), self._c_den = to_integers([c])
+        self._gram, _ = to_integers(p.t_gram)
+        self._gc = [dot(row, c_row) for row in self._gram]
+        # Largest pairing B_i G C first: dominant-chamber weights fail fastest
         order = sorted(zip(ms.entries.items(), rows),
-                       key=lambda e: (-sum(map(operator.mul, ell, e[1])), e[0][0]))
+                       key=lambda e: (-dot(e[1], self._gc), e[0][0]))
         self.weights = [b for (b, _), _ in order]
         self.mults = [m for (_, m), _ in order]
         self._rows = [row for _, row in order]    # the weights times _den
@@ -145,24 +156,18 @@ class _Condition2Search:
         return counts
 
     @cached_property
-    def _tables(self) -> tuple[list[Fraction], list[list[Fraction]], list[Fraction]]:
-        """(cvals, pairs, q2) for the depth-first scan: t_pair(c, beta_i),
-        t_pair(beta_i, beta_j), and per-suffix bounds q2[i] >= |q|^2 for
-        every q built from weights i..k-1."""
-        p = self.p
+    def _tables(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """(cvals, pairs, q2) in the int units of the module docstring, q2[i]
+        bounding sum n_a n_b pairs[a][b] over the count vectors on i..k-1."""
         k = len(self.weights)
-        cvals = [p.t_pair(self.c, b) for b in self.weights]
-        pairs = [[p.t_pair(a, b) for b in self.weights] for a in self.weights]
-        q2 = [Fraction(0)] * (k + 1)
+        cvals = [2 * self._den * dot(row, self._gc) for row in self._rows]
+        gb = [[dot(g, row) for g in self._gram] for row in self._rows]
+        pairs = [[self._c_den * dot(a, b) for b in gb] for a in self._rows]
+        q2 = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
-            total = q2[i + 1]
-            for a in range(i, k):
-                for b in range(i, k):
-                    if a == i or b == i:
-                        v = pairs[a][b]
-                        if v > 0:
-                            total += Fraction(self.mults[a] * self.mults[b]) * v / 4
-            q2[i] = total
+            m, row = self.mults[i], pairs[i]
+            q2[i] = q2[i + 1] + m * (m * max(row[i], 0) + 2 * sum(
+                [self.mults[j] * max(row[j], 0) for j in range(i + 1, k)]))
         return cvals, pairs, q2
 
     def _first_violation(self, size: int | None = None) -> list[int] | None:
@@ -172,20 +177,16 @@ class _Condition2Search:
         cvals, pairs, q2 = self._tables
         k = len(self.weights)
         counts = [0] * k
-        dots = [Fraction(0)] * k   # t_pair(rho_S, beta_j)
-        cs = Fraction(0)           # t_pair(c, rho_S)
-        ss = Fraction(0)           # t_pair(rho_S, rho_S)
+        dots = [0] * k             # sum_i n_i pairs[i][j]
+        cs = ss = 0                # sum n_i cvals[i], sum n_i n_j pairs[i][j]
         placed = 0                 # copies in S
-        remaining = [0] * (k + 1)  # copies available at indices i..k-1
-        for i in range(k - 1, -1, -1):
-            remaining[i] = remaining[i + 1] + self.mults[i]
+        remaining = [sum(self.mults[i:]) for i in range(k + 1)]   # copies at i..k-1
 
         def add_copy(i: int) -> None:
             nonlocal cs, ss, placed
-            cs += cvals[i] / 2
-            ss += dots[i] + pairs[i][i] / 4
-            for j in range(k):
-                dots[j] += pairs[i][j] / 2
+            cs += cvals[i]
+            ss += 2 * dots[i] + pairs[i][i]
+            dots[:] = map(operator.add, dots, pairs[i])
             counts[i] += 1
             placed += 1
 
@@ -193,10 +194,9 @@ class _Condition2Search:
             nonlocal cs, ss, placed
             placed -= 1
             counts[i] -= 1
-            for j in range(k):
-                dots[j] -= pairs[i][j] / 2
-            ss -= dots[i] + pairs[i][i] / 4
-            cs -= cvals[i] / 2
+            dots[:] = map(operator.sub, dots, pairs[i])
+            ss -= 2 * dots[i] + pairs[i][i]
+            cs -= cvals[i]
 
         def rec(i: int) -> bool:
             if placed == size or (size is None and i == k):
@@ -207,10 +207,10 @@ class _Condition2Search:
                 return False
             # Interval bound: over every completion q of the current
             # partial sum, f is at least f(partial) + min <c - 2 rho, q>
-            # - max |q|^2, all three pieces exact rationals.
+            # - max |q|^2, each piece in the same int units.
             low = cs - ss - q2[i]
             for j in range(i, k):
-                t = cvals[j] / 2 - dots[j]
+                t = cvals[j] - 2 * dots[j]
                 if t < 0:
                     low += self.mults[j] * t
             if low > 0:

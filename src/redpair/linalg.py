@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .weights import FractionTable, to_integers
@@ -19,10 +20,15 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
+def dot(u, v):
+    """The sum of the products of the entries of u and v, ints or Fractions."""
+    return sum(map(operator.mul, u, v))
+
+
 def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     if a and len(a[0]) != len(v):
         raise ValueError(f"matrix is {len(a)}x{len(a[0])}, vector has length {len(v)}")
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in a)
+    return tuple(dot(row, v) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -32,8 +38,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bi, db = to_integers(b)
     fractions = FractionTable(da * db)
     bt = list(zip(*bi))
-    return tuple(tuple(fractions[sum([x * y for x, y in zip(row, col)])] for col in bt)
-                 for row in ai)
+    return tuple(tuple(fractions[dot(row, col)] for col in bt) for row in ai)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -22,22 +22,20 @@ The multiset split below implements exactly that reading.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .linalg import mat_vec, to_integers, transpose
+from .linalg import dot, mat_vec, to_integers, transpose
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, fmt, neg
 
 
-def _grading(p: ReductivePair, lam: Weight) -> list[int]:
+def _grading(p: ReductivePair, lam: Weight) -> tuple[list[int], int]:
     """ell = t_gram^T lam, so that ell . y = t_pair(lam, y), scaled by its
-    common denominator into ints; formed once per call and paired with
-    every stored restricted root."""
+    common denominator into ints, and that denominator."""
     if len(lam) != p.rank_t:
         raise ValueError(f"grading weight must have rank {p.rank_t}")
-    (ell,), _ = to_integers([mat_vec(transpose(p.t_gram), lam)])
-    return ell
+    (ell,), den = to_integers([mat_vec(transpose(p.t_gram), lam)])
+    return ell, den
 
 
 def _regular(p: ReductivePair, n_roots: tuple[Weight, ...]) -> bool:
@@ -58,7 +56,7 @@ def split_roots(
     Returns (n_roots, m_roots, ch_t_n): the roots pairing positively,
     the roots pairing to zero, and the small-side character of n.
     """
-    ell = _grading(p, lam)
+    ell, _ = _grading(p, lam)
     n_roots: list[Weight] = []
     m_roots: list[Weight] = []
     ch: dict[tuple[tuple[int, ...], bool], int] = {}   # copies by int row and sign
@@ -66,7 +64,7 @@ def split_roots(
     for root, restricted, row in zip(p.g.positive_roots, p.restricted_positive,
                                      p.restricted_integers):
         # restriction and pairing are linear: the negative root gives -value
-        value = sum(map(operator.mul, ell, row))
+        value = dot(ell, row)
         if value:
             n_roots.append(root if value > 0 else neg(root))
             ch[row, value > 0] = ch.get((row, value > 0), 0) + 1

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Matrix, inverse, mat_mul, mat_vec, solve, to_integers, transpose
+from .linalg import Matrix, dot, inverse, mat_mul, mat_vec, solve, to_integers, transpose
 from .rootsystem import (
     RootSystem,
     WeylElement,
@@ -57,7 +57,7 @@ class ReductivePair:
     restricted_positive: tuple[Weight, ...]  # restrictions of g.positive_roots, in order
     restricted_integers: tuple[tuple[int, ...], ...]  # the same, times one denominator
     embedding_kind: str
-    k_weyl_size: int               # |W_k|, from the heights of the k-positive roots
+    k_weyl_order: int              # |W_k|, from the heights of the k-positive roots
 
     @cached_property
     def delta_t(self) -> frozenset[Weight]:
@@ -88,12 +88,10 @@ class ReductivePair:
             raise ValueError(
                 f"expected weights of rank {self.rank_t}, got {len(x)} and {len(y)}"
             )
-        gy = mat_vec(self.t_gram, y)
-        return sum(a * b for a, b in zip(x, gy))
+        return dot(x, mat_vec(self.t_gram, y))
 
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
-        f = self.k_coroot_functionals[i]
-        return sum(a * b for a, b in zip(f, x))
+        return dot(self.k_coroot_functionals[i], x)
 
     def dominance_defect(self, mu: Weight) -> str | None:
         """None if mu is dominant integral for the subalgebra, else a reason."""
@@ -114,13 +112,8 @@ class ReductivePair:
     def k_weyl_group(self) -> list[WeylElement]:
         """The subalgebra's Weyl group acting on small-side weights, read
         off the orbit of rho; refused by its order over MAX_WEYL."""
-        refuse_weyl_order(self.k_weyl_order())
+        refuse_weyl_order(self.k_weyl_order)
         return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing, self.rho)
-
-    def k_weyl_order(self) -> int:
-        """|W_k|, read off the heights of the k-positive roots when the
-        pair is built; nothing is enumerated."""
-        return self.k_weyl_size
 
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:

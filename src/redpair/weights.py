@@ -86,10 +86,6 @@ def scale(c: Rational, x: Weight) -> Weight:
     return tuple(f * a for a in x)
 
 
-def is_zero(x: Weight) -> bool:
-    return all(a == 0 for a in x)
-
-
 class WeightMultiset:
     """A finite multiset of weights of a common rank.
 
@@ -138,10 +134,6 @@ class WeightMultiset:
         scaled = list(zip(self.entries.values(), rows))
         return tuple(Fraction(sum([m * w[i] for m, w in scaled]), 2 * den)
                      for i in range(self.rank))
-
-    def contains(self, other: "WeightMultiset") -> bool:
-        """Submultiset test: every multiplicity of ``other`` fits inside."""
-        return all(self.entries.get(w, 0) >= m for w, m in other.entries.items())
 
     def first_excess(self, other: "WeightMultiset") -> Weight | None:
         """First weight (canonical order) where ``other`` exceeds this multiset."""

@@ -89,7 +89,7 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
         k_coroot_functionals=(one_vec,),
         k_positive_roots=(two,),
         rho=weight([1]),
-        k_weyl_size=_weyl_size((two,), (one_vec,), weight([1])),
+        k_weyl_order=_weyl_size((two,), (one_vec,), weight([1])),
         restricted_positive=restricted,
         restricted_integers=_scaled(restriction, restricted),
         embedding_kind="sl2-characteristic",
@@ -110,7 +110,7 @@ def make_cartan_pair(g: RootSystem) -> ReductivePair:
         k_coroot_functionals=(),
         k_positive_roots=(),
         rho=zero(g.rank),
-        k_weyl_size=_weyl_size((), (), zero(g.rank)),
+        k_weyl_order=_weyl_size((), (), zero(g.rank)),
         restricted_positive=g.positive_roots,
         restricted_integers=_scaled(ident, g.positive_roots),
         embedding_kind="cartan",
@@ -146,7 +146,7 @@ def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
         k_coroot_functionals=functionals,
         k_positive_roots=k_positive,
         rho=rho,
-        k_weyl_size=_weyl_size(k_simple, functionals, rho),
+        k_weyl_order=_weyl_size(k_simple, functionals, rho),
         restricted_positive=g.positive_roots,
         restricted_integers=_scaled(ident, g.positive_roots),
         embedding_kind="levi",
@@ -240,7 +240,7 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
         k_coroot_functionals=functionals,
         k_positive_roots=tuple(k_positive),
         rho=rho,
-        k_weyl_size=_weyl_size(k_simple, functionals, rho),
+        k_weyl_order=_weyl_size(k_simple, functionals, rho),
         restricted_positive=_restrict_positive(g, restriction),
         restricted_integers=_scaled(restriction, _restrict_positive(g, restriction)),
         embedding_kind="explicit",

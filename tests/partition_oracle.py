@@ -14,7 +14,7 @@ import operator
 
 from redpair.linalg import mat_vec, transpose
 from redpair.reductive import ReductivePair
-from redpair.weights import Weight, WeightMultiset, fmt, is_zero, sub, to_integers
+from redpair.weights import Weight, WeightMultiset, fmt, sub, to_integers
 
 
 class PartitionCounter:
@@ -51,7 +51,7 @@ class PartitionCounter:
         if level < 0:
             return 0
         if level == 0:
-            return 1 if is_zero(target) else 0
+            return 0 if any(target) else 1
         if i == len(self.support):
             return 0
         key = (target, i)

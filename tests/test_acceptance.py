@@ -158,7 +158,7 @@ def test_criterion_5_partition_oracle():
         _, _, ch_t_n = split_roots(p, vec(1))
         for ms in (ch_t_n,
                    ch_t_n.minus(p.k_positive_multiset())
-                   if ch_t_n.contains(p.k_positive_multiset()) else None):
+                   if ch_t_n.first_excess(p.k_positive_multiset()) is None else None):
             if ms is None or not len(ms):
                 continue
             key = tuple(sorted((w[0], m) for w, m in ms.items()))

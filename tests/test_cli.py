@@ -362,6 +362,20 @@ def test_unbounded_table_walk_exits_at_the_point_cap(tmp_path):
                           "of 1000000 lattice points\n")
 
 
+def test_e7_levi_generic_check_finishes_within_the_timeout(tmp_path):
+    # mu = 8 restrict(rho_tilde): the rank-7 condition-2 scan covers the 63
+    # weights of ch_t n and finds no violation
+    cfg = write_config(tmp_path, "lie_type = E7\nk = levi\nnodes = [1, 2, 3, 4, 5]\n"
+                                 "command = generic-check\n"
+                                 "mu = [136, 196, 264, 384, 300, 208, 108]\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-m", "redpair.cli", "--config", cfg,
+                          "--emit", "machine"], capture_output=True, text=True,
+                         timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["genericity"]["holds"] is True
+
+
 def test_successive_main_calls_share_no_state(tmp_path, capsys):
     # the parser is built once; a flag given to one call must not reach the next
     cfg = write_config(tmp_path, A2_FUNDSERIES)

@@ -55,8 +55,9 @@ def test_multiset_difference():
 
 def test_multiset_contains_and_excess():
     big = WeightMultiset({vec(2): 2, vec(4): 1})
-    assert big.contains(WeightMultiset({vec(2): 2}))
-    assert not big.contains(WeightMultiset({vec(6): 1}))
+    # containment is the absence of an excess
+    assert big.first_excess(WeightMultiset({vec(2): 2})) is None
+    assert big.first_excess(WeightMultiset({vec(6): 1})) == vec(6)
     assert big.first_excess(WeightMultiset({vec(4): 2})) == vec(4)
 
 
