@@ -13,8 +13,9 @@ Verbs: pair-info, parabolic, generic-check, sl2-threshold, fundseries,
 verify.  Output is a human-readable report, a machine-readable JSON
 document with canonical ordering (byte-identical across runs), or both.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 resource cap
-exceeded.
+Exit codes: 0 success, 1 internal error (any other exception, a fault of
+the program, printed as one ``internal error: ...`` line with nothing on
+stdout), 2 parse error, 3 validation error, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .rootsystem import CapExceeded, build_root_system, refuse_weyl_order
 from .weights import Weight, WeightMultiset, add, scale
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CAP = 4
@@ -500,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:   # repr keeps the message on one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     emit(doc, args.emit, sys.stdout)
     return EXIT_OK
 

@@ -5,15 +5,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .weights import FractionTable, to_integers
+from .weights import to_integers
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -29,21 +23,6 @@ def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     if a and len(a[0]) != len(v):
         raise ValueError(f"matrix is {len(a)}x{len(a[0])}, vector has length {len(v)}")
     return tuple(dot(row, v) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product, formed in integers scaled by each factor's common
-    denominator."""
-    ai, da = to_integers(a)
-    bi, db = to_integers(b)
-    fractions = FractionTable(da * db)
-    bt = list(zip(*bi))
-    return tuple(tuple(fractions[dot(row, col)] for col in bt) for row in ai)
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on a singular matrix."""
-    return solve(a, identity(len(a)))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

@@ -54,7 +54,9 @@ def split_roots(
     """Partition all ambient roots by the sign of their pairing with lam.
 
     Returns (n_roots, m_roots, ch_t_n): the roots pairing positively,
-    the roots pairing to zero, and the small-side character of n.
+    the roots pairing to zero, and the small-side character of n.  Both
+    root tuples follow g.positive_roots; m_roots interleaves each positive
+    root of zero pairing with its negative, positive first.
     """
     ell, _ = _grading(p, lam)
     n_roots: list[Weight] = []
@@ -91,13 +93,9 @@ class CompatibleParabolic:
     minimal: bool
 
     def m_positive_roots(self) -> tuple[Weight, ...]:
-        """The reductive part's positivity, fixed by ambient positivity on ties."""
-        positive = set()
-        for root in self.m_roots:
-            if root in positive or tuple(-c for c in root) in positive:
-                continue
-            positive.add(root)
-        return tuple(sorted(positive))
+        """The positive roots of m (ambient positivity breaks the ties): the
+        even places of m_roots, where split_roots puts them."""
+        return tuple(sorted(self.m_roots[::2]))
 
 
 def compatible_parabolic(p: ReductivePair, lam: Weight) -> CompatibleParabolic:

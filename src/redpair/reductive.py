@@ -8,12 +8,14 @@ the rest once:
 
 - the orthogonal section of the restriction and the induced form on the
   small side (the restriction of the invariant form to the
-  orthocomplement of the kernel), from one fraction-free solve;
+  orthocomplement of the kernel), from one fraction-free solve of the
+  saddle-point system [[G, R^T], [R, 0]];
 - the restriction of every positive root of the ambient algebra, as int
   rows scaled by the common denominator of the restriction and as weights;
-- the k-positive roots, the integer root closure of the k Cartan matrix
-  <sigma_i, sigma_j-coroot> combined with the k-simple roots, rho, half
-  their sum, and |W_k|, read off the heights of the closure.
+- the k-positive roots, the closure under raising simple reflections of
+  the k Cartan matrix <sigma_i, sigma_j-coroot>, which must be a
+  generalized Cartan matrix, combined with the k-simple roots; rho, half
+  their sum; and |W_k|, read off the heights of the closure.
 
 When the restriction is the identity, which the constructor reads off the
 matrix itself, the section is the identity, the induced form is the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Matrix, dot, inverse, mat_mul, mat_vec, solve, to_integers, transpose
+from .linalg import Matrix, dot, mat_vec, solve, to_integers, transpose
 from .rootsystem import (
     RootSystem,
     WeylElement,
@@ -62,12 +64,7 @@ class ReductivePair:
     @cached_property
     def delta_t(self) -> frozenset[Weight]:
         """The nonzero restricted roots, positive and negative."""
-        out = set()
-        for r in self.restricted_positive:
-            if any(r):
-                out.add(r)
-                out.add(neg(r))
-        return frozenset(out)
+        return frozenset(x for r in self.restricted_positive if any(r) for x in (r, neg(r)))
 
     def restrict(self, x: Weight) -> Weight:
         if len(x) != self.g.rank:
@@ -117,19 +114,23 @@ class ReductivePair:
 
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
-    """Lift and induced Gram matrix for a full-row-rank restriction R.
+    """Lift L and induced Gram matrix for a full-row-rank restriction R.
 
-    The section L solves R L = id with image orthogonal to ker R.  One
-    fraction-free solve gives X = G^{-1} R^T; the induced form is then
-    (R X)^{-1} and L = X (R X)^{-1}, and positive definiteness is
-    inherited from G.  For a single row r the form is 1 / (r G^{-1} r^T).
+    R L = id with the image of L orthogonal to ker R: one fraction-free
+    solve of [[G, R^T], [R, 0]] [[L], [M]] = [[0], [id]], singular exactly
+    when R is rank-deficient.  The form is -M = (R G^{-1} R^T)^{-1},
+    positive definite as G is; for a single row r, 1 / (r G^{-1} r^T).
     """
-    x = solve(g.gram, transpose(restriction))
+    n, m = g.rank, len(restriction)
+    zero = Fraction(0)
+    saddle = ([row + column for row, column in zip(g.gram, transpose(restriction))]
+              + [row + (zero,) * m for row in restriction])
     try:
-        t_gram = inverse(mat_mul(restriction, x))
+        x = solve(saddle, [(zero,) * m] * n
+                  + [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)])
     except ValueError:
         raise ValueError("rank-deficient restriction: no lift exists") from None
-    return mat_mul(x, t_gram), t_gram
+    return x[:n], tuple(tuple(-v for v in row) for row in x[n:])
 
 
 def _images(matrix: Matrix, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
@@ -146,8 +147,9 @@ def _images(matrix: Matrix, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple
 def _k_cartan(k_simple: tuple[Weight, ...],
               functionals: tuple[tuple[Fraction, ...], ...]) -> list[list[int]]:
     """The k Cartan matrix, entry (i, j) = <sigma_i, sigma_j-coroot>.  It must
-    be an integer matrix with 2 on the diagonal and no positive entry off it."""
-    cartan = mat_mul(k_simple, transpose(functionals))
+    be a generalized Cartan matrix: integers, 2 on the diagonal, no positive
+    entry off it, and entry (i, j) zero exactly when entry (j, i) is."""
+    cartan = [[dot(s, f) for f in functionals] for s in k_simple]
     for i, row in enumerate(cartan):
         for j, v in enumerate(row):
             if v.denominator != 1:
@@ -160,6 +162,11 @@ def _k_cartan(k_simple: tuple[Weight, ...],
                                  "with its own coroot")
             if i != j and v > 0:
                 raise ValueError("positive off-diagonal Cartan entry in k root data")
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v == 0 != cartan[j][i]:
+                raise ValueError(f"k Cartan entry ({i + 1}, {j + 1}) is 0 but ({j + 1}, "
+                                 f"{i + 1}) is {cartan[j][i]}: not a generalized Cartan matrix")
     return [[v.numerator for v in row] for row in cartan]
 
 
@@ -232,17 +239,17 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
                        k_coroot_functionals: list[tuple[Fraction, ...]]) -> ReductivePair:
     """Pair from raw embedding data, fully validated.
 
-    The subalgebra's positive roots are regenerated from its Cartan
-    matrix (coroot functionals against simple roots), which must consist
-    of integers with 2 on the diagonal; every generated positive root
-    must occur among the restricted roots of the ambient algebra.
+    Entries are ints, Fractions or 'p/q' strings; a float raises TypeError.
+    The subalgebra's positive roots are regenerated from its Cartan matrix
+    (coroot functionals against simple roots), which must be a generalized
+    Cartan matrix; each must occur among the restricted roots of g.
     """
-    restriction = tuple(tuple(Fraction(x) for x in row) for row in restriction)
+    restriction = tuple(weight(row) for row in restriction)
     rank_t = len(restriction)
     if rank_t == 0 or any(len(row) != g.rank for row in restriction):
         raise ValueError(f"restriction must be rank_t x {g.rank}")
     k_simple = tuple(weight(s) for s in k_simple_roots)
-    functionals = tuple(tuple(Fraction(x) for x in f) for f in k_coroot_functionals)
+    functionals = tuple(weight(f) for f in k_coroot_functionals)
     if len(k_simple) != len(functionals):
         raise ValueError("one coroot functional is required per k-simple root")
     for s in k_simple:
@@ -253,16 +260,13 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
             raise ValueError(f"coroot functional {fmt(f)} has wrong rank")
     pair = _pair(g, restriction, k_simple, functionals, "explicit")
 
-    # each reflection x -> x - f(x) sigma must preserve the induced form
-    # (true for any genuine embedding, where ker f is orthogonal to sigma);
-    # the Weyl machinery downstream relies on it
+    # each reflection x -> x - f(x) sigma must preserve the induced form, as
+    # for any genuine embedding; the Weyl machinery downstream relies on it.
+    # As f(sigma) = 2, that holds iff f(x) (sigma, sigma) = 2 (sigma, x)
     for sigma, f in zip(k_simple, functionals):
-        refl = tuple(
-            tuple((Fraction(1) if a == b else Fraction(0)) - sigma[a] * f[b]
-                  for b in range(rank_t))
-            for a in range(rank_t)
-        )
-        if mat_mul(transpose(refl), mat_mul(pair.t_gram, refl)) != pair.t_gram:
+        g_sigma = mat_vec(pair.t_gram, sigma)
+        norm = dot(sigma, g_sigma)
+        if [norm * v for v in f] != [2 * v for v in g_sigma]:
             raise ValueError(
                 f"coroot functional {fmt(f)} for k-simple root {fmt(sigma)} does not "
                 f"act by an isometry of the induced form"

@@ -21,13 +21,12 @@ elements (``refuse_weyl_order``) before it starts.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import Matrix, mat_vec, solve
+from .linalg import Matrix, dot, mat_vec, solve
 from .weights import FractionTable, Weight, WeightMultiset, add, fmt, to_integers
 
 _FAMILY_RANKS = {
@@ -164,8 +163,7 @@ class RootSystem:
         n = self.rank
         if len(x) != n or len(y) != n:
             raise ValueError(f"expected weights of rank {n}, got {len(x)} and {len(y)}")
-        gy = mat_vec(self.gram, y)
-        return sum(a * b for a, b in zip(x, gy))
+        return dot(x, mat_vec(self.gram, y))
 
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
         """<x, alpha_i-coroot> = sum_j x_j cartan[j][i], since
@@ -185,47 +183,33 @@ class RootSystem:
 
 def _root_closure(a: list[list[int]],
                   max_roots: int | None = None) -> list[tuple[int, ...]]:
-    """The positive roots of an integer Cartan matrix: the closure of the
-    simple roots under root-string addition.
-
-    Works level by level in height; beta + alpha_i is a root iff the
-    alpha_i-string through beta satisfies p - <beta, alpha_i-coroot> > 0,
-    where p is the largest k with beta - k alpha_i a root.  Each root
-    carries its coroot pairings, its parent's plus a row of a, so no
-    candidate sums a pairing over the rank.  Roots come out as int tuples in
-    simple-root coordinates, ordered by height.
+    """The positive roots of a generalized Cartan matrix a (a_ij = 0 exactly
+    when a_ji = 0; the callers check it): the simple roots closed under
+    raising reflections.  A root beta carries its pairings <beta,
+    alpha_j-coroot>, alpha_i starting with row i of a; a negative pairing c
+    at i gives the root s_i beta = beta - c alpha_i, with pairings minus
+    c a[i].  Every positive root is reached: one that is not simple has
+    (beta, alpha_i) > 0 for some i, and s_i beta is a lower positive root
+    with a negative pairing at i (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, 10.2-10.3).  Off finite type the real roots
+    W.Pi are infinite (Kac, Infinite-dimensional Lie Algebras, 5.1), so the
+    max_roots cap fires.  Roots come out as int tuples in simple-root
+    coordinates, sorted by height and then lexicographically.
     """
     rank = len(a)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-
-    roots: set[tuple[int, ...]] = set(simple)
-    # each root of this height with its pairings <beta, alpha_j-coroot>
-    level = [(beta, list(row)) for beta, row in zip(simple, a)]
-    all_levels = [list(simple)]
-    while level:
-        nxt: list[tuple[tuple[int, ...], list[int]]] = []
-        for beta, pairings in level:
-            for i in range(rank):
-                p = 0
-                if beta[i]:
-                    while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
-                        p += 1
-                if p - pairings[i] <= 0:
-                    continue
-                candidate = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                if candidate in roots:
-                    continue
-                roots.add(candidate)
-                nxt.append((candidate, list(map(operator.add, pairings, a[i]))))
+    roots = {tuple(int(j == i) for j in range(rank)): row for i, row in enumerate(a)}
+    todo = list(roots)
+    while todo:
+        beta = todo.pop()
+        pairings = roots[beta]
+        for i, c in enumerate(pairings):
+            if c < 0 and (raised := beta[:i] + (beta[i] - c,) + beta[i + 1:]) not in roots:
+                roots[raised] = [p - c * q for p, q in zip(pairings, a[i])]
+                todo.append(raised)
                 if max_roots is not None and len(roots) > max_roots:
-                    raise ValueError(
-                        "root closure exceeded its cap; the Cartan data is "
-                        "not of finite type"
-                    )
-        if nxt:
-            all_levels.append([beta for beta, _ in nxt])
-        level = nxt
-    return [r for lev in all_levels for r in sorted(lev)]
+                    raise ValueError("root closure exceeded its cap; the Cartan data is "
+                                     "not of finite type")
+    return sorted(roots, key=lambda r: (sum(r), r))
 
 
 def weyl_group_order(positive_roots) -> int:
@@ -256,10 +240,8 @@ def build_root_system(t: LieType | str) -> RootSystem:
     gram = [[Fraction(0)] * rank for _ in range(rank)]
     offset = 0
     for family, n in lie_type.components:
-        block = _simple_gram(family, n)
-        for i in range(n):
-            for j in range(n):
-                gram[offset + i][offset + j] = block[i][j]
+        for i, row in enumerate(_simple_gram(family, n)):
+            gram[offset + i][offset:offset + n] = row
         offset += n
 
     # 6 (alpha_i, alpha_j) is an integer for every family (lengths 2/3,

@@ -1,8 +1,8 @@
 """The ``Fraction`` versions of the integer kernels, kept as their oracles:
-the orbit walk on weight vectors, Gauss-Jordan inversion over the
-rationals, and the root split that restricts every root on each call;
-and the root closure that sums each candidate's coroot pairing over the
-whole rank."""
+the orbit walk on weight vectors, Gauss-Jordan inversion and the matrix
+product over the rationals, and the root split that restricts every root
+on each call; and the root closure by root strings, which sums each
+candidate's coroot pairing over the whole rank."""
 
 from fractions import Fraction
 
@@ -32,6 +32,11 @@ def reflection_orbit(x, simple_roots, coroot_pairing):
         orbit.extend((word, z) for z, word in nxt.items())
         level = nxt
     return orbit
+
+
+def identity(n):
+    """The n x n identity matrix in ``Fraction``."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def inverse(a):
@@ -81,10 +86,11 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def root_closure(a):
+def root_closure(a, max_roots=None):
     """The positive roots of an integer Cartan matrix, level by level in
     height: beta + alpha_i is a root iff p - <beta, alpha_i-coroot> > 0,
-    with p the largest k such that beta - k alpha_i is a root."""
+    with p the largest k such that beta - k alpha_i is a root.  More than
+    max_roots roots raise the library's cap message."""
     rank = len(a)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simple)
@@ -103,6 +109,9 @@ def root_closure(a):
                 if p - sum(beta[j] * a[j][i] for j in range(rank)) > 0:
                     roots.add(candidate)
                     nxt.append(candidate)
+                    if max_roots is not None and len(roots) > max_roots:
+                        raise ValueError("root closure exceeded its cap; the Cartan "
+                                         "data is not of finite type")
         if nxt:
             all_levels.append(nxt)
         level = nxt

@@ -1,15 +1,16 @@
 """The four pair factories as they were before they shared one
 constructor, each filling every field of ``ReductivePair`` by hand, the
-orthogonal section by two ``Fraction`` inverses and |W_k| by enumerating
-the group; kept as the oracle of ``redpair.reductive``."""
+orthogonal section by two ``Fraction`` inverses, the k-positive roots by
+the root-string closure of ``kernel_oracle`` and |W_k| by enumerating the
+group; kept as the oracle of ``redpair.reductive``."""
 
 import math
 from fractions import Fraction
 
 import kernel_oracle
-from redpair.linalg import Matrix, identity, mat_mul, to_integers, transpose
+from redpair.linalg import Matrix, to_integers, transpose
 from redpair.reductive import ReductivePair
-from redpair.rootsystem import RootSystem, _root_closure, enumerate_reflection_group
+from redpair.rootsystem import RootSystem, enumerate_reflection_group
 from redpair.weights import FractionTable, Weight, WeightMultiset, fmt, weight, zero
 
 
@@ -99,7 +100,7 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
 def make_cartan_pair(g: RootSystem) -> ReductivePair:
     """The pair whose subalgebra is the Cartan itself: identity
     restriction, no subalgebra roots, trivial small Weyl group."""
-    ident = identity(g.rank)
+    ident = kernel_oracle.identity(g.rank)
     return ReductivePair(
         g=g,
         rank_t=g.rank,
@@ -124,7 +125,7 @@ def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
         if not 1 <= i <= g.rank:
             raise ValueError(f"simple-root index {i} outside 1..{g.rank}")
     indices = sorted(i - 1 for i in simple_subset)
-    ident = identity(g.rank)
+    ident = kernel_oracle.identity(g.rank)
     k_simple = tuple(g.simple_roots[i] for i in indices)
     functionals = tuple(
         tuple(g.cartan[j][i] for j in range(g.rank)) for i in indices
@@ -209,15 +210,16 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
                   for b in range(rank_t))
             for a in range(rank_t)
         )
-        if mat_mul(transpose(refl), mat_mul(t_gram, refl)) != t_gram:
+        if kernel_oracle.mat_mul(transpose(refl),
+                                 kernel_oracle.mat_mul(t_gram, refl)) != t_gram:
             raise ValueError(
                 f"coroot functional {fmt(f)} for k-simple root {fmt(sigma)} does not "
                 f"act by an isometry of the induced form"
             )
 
     if n_k:
-        abstract = _root_closure([[int(v) for v in row] for row in cartan_k],
-                                 max_roots=2 * len(g.positive_roots))
+        abstract = kernel_oracle.root_closure([[int(v) for v in row] for row in cartan_k],
+                                              max_roots=2 * len(g.positive_roots))
         k_positive = []
         for coeffs in abstract:
             root = zero(rank_t)

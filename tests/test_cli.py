@@ -285,6 +285,36 @@ mu = 3
     assert "cap" in err
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("boom\nsecond line"), KeyError("x"),
+                                 TypeError("bad")])
+def test_any_other_exception_is_a_one_line_internal_error(tmp_path, capsys, monkeypatch,
+                                                          exc):
+    def broken(job, args):
+        raise exc
+    monkeypatch.setattr("redpair.cli.run_job", broken)
+    cfg = write_config(tmp_path, A2_FUNDSERIES)
+    code, out, err = run_main(capsys, ["--config", cfg, "--emit", "machine"])
+    assert code == 1
+    assert out == ""
+    assert err == f"internal error: {exc!r}\n"
+
+
+def test_non_generalized_cartan_k_data_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+lie_type = A2
+k = explicit
+restriction = [[1, 0], [0, 1]]
+k_simple_roots = [[1, 0], [0, 1]]
+k_coroots = [[2, -1], [0, 2]]
+command = pair-info
+""")
+    code, out, err = run_main(capsys, ["--config", cfg])
+    assert code == 3
+    assert out == ""
+    assert err == ("validation error: k Cartan entry (1, 2) is 0 but (2, 1) is -1: "
+                   "not a generalized Cartan matrix\n")
+
+
 def test_cap_from_config_key(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 lie_type = A2

@@ -1,11 +1,13 @@
 """The integer kernels of the root and Weyl machinery against their
 ``Fraction`` versions in kernel_oracle: the orbit walk in coroot
-coordinates, the integer-scaled solve, inverse and product, the restrictions
-stored once per pair, and the root split that reads them; and the root
-closure against the one that sums every pairing."""
+coordinates, the integer-scaled solve against Gauss-Jordan inversion and
+the product, the restrictions stored once per pair, and the root split
+that reads them; and the root closure by raising reflections against the
+one by root strings."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 import kernel_oracle
 from redpair.cli import main
 from redpair.fundseries import kostant_weights
-from redpair.linalg import inverse, mat_mul, mat_vec, solve
+from redpair.linalg import mat_vec, solve
 from redpair.parabolic import is_regular, split_roots
 from redpair.reductive import (
     make_cartan_pair,
@@ -112,7 +114,11 @@ def test_coroot_pairing_is_the_gram_quotient():
 def test_inverse_of_gram_and_cartan_matches_fraction_elimination(name):
     rs = build_root_system(name)
     for m in (rs.gram, rs.cartan, tuple(zip(*rs.cartan))):
-        assert inverse(m) == kernel_oracle.inverse(m)
+        assert _inverse(m) == kernel_oracle.inverse(m)
+
+
+def _inverse(a):
+    return solve(a, kernel_oracle.identity(len(a)))
 
 
 def _random_matrix(rng, rows, cols):
@@ -134,11 +140,11 @@ def test_inverse_and_product_of_random_matrices():
         except ValueError as exc:
             singular += 1
             with pytest.raises(ValueError, match=str(exc)):
-                inverse(a)
+                _inverse(a)
             continue
-        assert inverse(a) == expected
+        assert _inverse(a) == expected
         b = _random_matrix(rng, n, rng.randint(0, 4))
-        assert mat_mul(a, b) == kernel_oracle.mat_mul(a, b)
+        assert solve(a, b) == kernel_oracle.mat_mul(expected, b)
     assert singular > 20
 
 
@@ -180,9 +186,9 @@ def test_zero_restriction_row_has_no_lift(tmp_path, capsys):
 def test_inverse_errors_are_unchanged():
     for bad in (((Fraction(1), Fraction(2)),), ((Fraction(1),), (Fraction(2),))):
         with pytest.raises(ValueError, match="inverse needs a square matrix"):
-            inverse(bad)
+            _inverse(bad)
     with pytest.raises(ValueError, match="singular matrix"):
-        inverse(((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1))))
+        _inverse(((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1))))
     a2 = build_root_system("A2")
     with pytest.raises(ValueError, match="rank-deficient restriction"):
         make_explicit_pair(a2, [[1, 1], [2, 2]], [], [])
@@ -262,3 +268,44 @@ def test_root_closure_matches_the_pairing_sum(name):
     # the same roots in the same order, each pairing carried from its parent
     a = [[int(v) for v in row] for row in build_root_system(name).cartan]
     assert _root_closure(a) == kernel_oracle.root_closure(a)
+
+
+def _same_closure(a, max_roots):
+    """Raising reflections and root strings give the same list, or both
+    exceed max_roots; True when the lists are compared."""
+    try:
+        expected = kernel_oracle.root_closure(a, max_roots)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="^" + re.escape(str(exc)) + "$"):
+            _root_closure(a, max_roots)
+        return False
+    assert _root_closure(a, max_roots) == expected
+    return True
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_closure_of_the_transposed_cartan_matrix(name):
+    # the dual root system: B and C trade places, and so do the
+    # components' long and short roots
+    rs = build_root_system(name)
+    a = [[int(v) for v in column] for column in zip(*rs.cartan)]
+    assert _same_closure(a, len(rs.positive_roots))
+    assert _same_closure(a, 20) == (len(rs.positive_roots) <= 20)
+
+
+def test_root_closure_of_every_small_generalized_cartan_matrix():
+    # every GCM of rank 2 and 3 with off-diagonal entries in 0..-3: a_ij
+    # and a_ji are zero together
+    blocks = [(0, 0)] + [(x, y) for x in (-1, -2, -3) for y in (-1, -2, -3)]
+    compared = capped = 0
+    for rank in (2, 3):
+        edges = list(itertools.combinations(range(rank), 2))
+        for choice in itertools.product(blocks, repeat=len(edges)):
+            a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+            for (i, j), (x, y) in zip(edges, choice):
+                a[i][j], a[j][i] = x, y
+            if _same_closure(a, 20):
+                compared += 1
+            else:
+                capped += 1
+    assert (compared, capped) == (37, 973)

@@ -6,12 +6,13 @@ import dataclasses
 import itertools
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 import pair_oracle
+from kernel_oracle import identity
 from redpair.cli import main
-from redpair.linalg import identity
 from redpair.reductive import (
     ReductivePair,
     make_cartan_pair,
@@ -24,7 +25,13 @@ from redpair.weights import vec
 
 LEVI_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
               "A1xA1"]
-SL2_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "G2"]
+SL2_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C4", "D4", "G2"]
+# torus pairs (no k roots) with non-identity restrictions of rank 2 and 3
+TORUS_PAIRS = [("A3", [[1, 0, 1], [0, 1, 0]]), ("B3", [[1, 1, 0], [0, 1, 2]]),
+               ("G2", [["1/2", 0], [1, 3]]), ("C3", [[2, 1, 0], [0, 0, 1]]),
+               ("A4", [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0]]),
+               ("B4", [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, "1/3"]]),
+               ("D4", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])]
 
 
 def assert_same_pair(new, old):
@@ -71,6 +78,11 @@ def test_explicit_pairs_match_the_oracle():
     for args in good:
         assert_same_pair(make_explicit_pair(a2, *args),
                          pair_oracle.make_explicit_pair(a2, *args))
+    for name, restriction in TORUS_PAIRS:
+        g = build_root_system(name)
+        pair = make_explicit_pair(g, restriction, [], [])
+        assert pair.rank_t in (2, 3) and pair.restriction != g.simple_roots
+        assert_same_pair(pair, pair_oracle.make_explicit_pair(g, restriction, [], []))
     bad = [([[2, 2]], [vec(3)], [("2/3",)]),
            ([[1, 1], [2, 2]], [], []),
            ([[2, 2]], [vec(2)], [("1/3",)]),
@@ -80,6 +92,33 @@ def test_explicit_pairs_match_the_oracle():
     for args in bad:
         assert_same_error(lambda: make_explicit_pair(a2, *args),
                           lambda: pair_oracle.make_explicit_pair(a2, *args))
+
+
+def test_explicit_pairs_take_exact_rationals_only():
+    a2 = build_root_system("A2")
+    for args in ([[[0.5, 0.5]], [], []], [[[2, 2]], [vec(2)], [(0.5,)]],
+                 [identity(2), [vec(1, 0)], [(2.0, -1)]]):
+        with pytest.raises(TypeError, match="^not an exact rational: "):
+            make_explicit_pair(a2, *args)
+    # ints, Fractions and "p/q" strings are read as before
+    for args in ([[["1/2", 1]], [], []], [[[Fraction(1, 2), 1]], [], []],
+                 [[[2, 2]], [vec(2)], [("1",)]], [[[2, 2]], [vec(2)], [(Fraction(1),)]],
+                 [identity(2), [vec(1, 0)], [(2, -1)]],
+                 [[[1, 0], [0, 1]], [vec(1, 0)], [("2", "-1")]]):
+        assert_same_pair(make_explicit_pair(a2, *args),
+                         pair_oracle.make_explicit_pair(a2, *args))
+
+
+def test_non_generalized_cartan_k_data_is_refused():
+    # <sigma_1, sigma_2-coroot> = 0 but <sigma_2, sigma_1-coroot> = -1
+    a2 = build_root_system("A2")
+    with pytest.raises(ValueError, match=r"^k Cartan entry \(1, 2\) is 0 but \(2, 1\) is -1: "
+                                         r"not a generalized Cartan matrix$"):
+        make_explicit_pair(a2, identity(2), [vec(1, 0), vec(0, 1)], [(2, -1), (0, 2)])
+    # the oracle, which has no such check, refuses the same data later
+    with pytest.raises(ValueError, match="isometry"):
+        pair_oracle.make_explicit_pair(a2, identity(2), [vec(1, 0), vec(0, 1)],
+                                       [(2, -1), (0, 2)])
 
 
 def test_factory_errors_match_the_oracle():

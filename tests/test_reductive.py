@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from redpair.linalg import identity, mat_mul
+from kernel_oracle import identity, mat_mul
 from redpair.reductive import (
     make_cartan_pair,
     make_explicit_pair,
