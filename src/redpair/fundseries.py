@@ -11,8 +11,11 @@ enters only through its dimension and the scalar by which the small
 Cartan acts.  The partition function counts in integer coordinates,
 scaled by the least common denominator D of its generators' coordinates;
 a target that is not integral after scaling by D counts 0.  Every count,
-of one target or of a whole table, comes from one walk and one sweep
-(``_walk``, ``_sweep``).  Grouping the terms by degree i gives
+of the terms of one delta or of a whole table, comes from one walk and
+one sweep (``_walk``, ``_sweep``), and the walk skips the points that can
+carry no answer: a count walks down only inside the orthant of the
+generators, and a table walks up only to points that can still reach
+its ball.  Grouping the terms by degree i gives
 
     kostant_terms[i] = dim E * sum_{len(w) = i} count(w(delta+rho) - rho - mu)
 
@@ -40,6 +43,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import Callable
 
 from .genericity import norm2_shifted
 from .linalg import dot
@@ -138,18 +142,26 @@ def _steps(generators: WeightMultiset, scaled, ell, grading: Weight) -> list[tup
     return steps
 
 
-def _walk(start: tuple[int, ...], level: int, low: int, high: int, steps,
-          what: str) -> tuple[dict[tuple[int, ...], int], list[int]]:
-    """The points start + x with level in [low, high], x an N-combination of
-    the weights of ``steps``, with their levels, grown one weight at a time
-    (the first ends[m] by the first m + 1); refused past MAX_TABLE_POINTS."""
-    points = {start: level}
+def _walk(starts: dict[tuple[int, ...], int], low: int, high: int, steps, what: str,
+          dead=None) -> tuple[dict[tuple[int, ...], int], list[int]]:
+    """The points y + x with level in [low, high], y a key of ``starts``
+    (with its level) and x an N-combination of the weights of ``steps``,
+    with their levels, grown one weight at a time (the first ends[m] by
+    the first m + 1); refused past MAX_TABLE_POINTS.  A point y with
+    dead(y) is neither kept nor walked on from, so the walk holds every
+    point that some way from a start reaches, in pass order, through
+    points that are not dead."""
+    points = dict(starts)
+    if len(points) > MAX_TABLE_POINTS:
+        raise CapExceeded(f"the {what} walk exceeds the cap of "
+                          f"{MAX_TABLE_POINTS} lattice points")
     ends = []
     for beta, step, _ in steps:
         for y, level in list(points.items()):
             y, level = tuple(map(operator.add, y, beta)), level + step
             # a point already present has had (or will have) its own walk
-            while low <= level <= high and y not in points:
+            while (low <= level <= high and y not in points
+                   and (dead is None or not dead(y))):
                 points[y] = level
                 if len(points) > MAX_TABLE_POINTS:
                     raise CapExceeded(f"the {what} walk exceeds the cap of "
@@ -179,24 +191,62 @@ def _sweep(points: dict[tuple[int, ...], int], origin: tuple[int, ...],
     return count
 
 
+def _orthant(scaled, ell) -> Callable[[tuple[int, ...]], bool] | None:
+    """dead(y): y lies outside a sign half-space {s y[i] >= 0} that holds
+    every generator beta of ``scaled``, so y and every point below it
+    are no N-combination.  A half-space of a positive multiple of ell is
+    left out, as level >= 0 holds it; None when no half-space is left."""
+    support = [i for i, c in enumerate(ell) if c]
+    level_axis = (support[0], ell[support[0]] > 0) if len(support) == 1 else None
+    pos = [i for i in range(len(ell)) if (i, True) != level_axis
+           and all(beta[i] >= 0 for beta in scaled)]
+    neg = [i for i in range(len(ell)) if (i, False) != level_axis
+           and all(beta[i] <= 0 for beta in scaled)]
+    if not pos and not neg:
+        return None
+
+    def dead(y: tuple[int, ...]) -> bool:
+        for i in pos:
+            if y[i] < 0:
+                return True
+        for i in neg:
+            if y[i] > 0:
+                return True
+        return False
+    return dead
+
+
 class PartitionCounter:
     """Vector partition function for a fixed generator multiset.
 
     count(target) is the number of ways to write target as an
     N-combination of the generators, a weight of multiplicity m acting
     as m independent generators (the coefficient of the target in
-    prod (1 - e^beta)^(-mult beta)).  Every generator must pair
-    strictly positively with the grading weight, which bounds the walk.
+    prod (1 - e^beta)^(-mult beta)), and counts(targets) the same for
+    several targets from one walk and one sweep.  Every generator must
+    pair strictly positively with the grading weight, which bounds the
+    walk.
 
     Counting runs in integer coordinates.  The generators are scaled by
     the least common denominator D of their coordinates, the level
     functional ell = t_gram . grading by its own denominator, and each
     generator carries its integer level step.  A target is scaled by D
     on entry; one that is then not integral is off the lattice of every
-    N-combination and counts 0.  Otherwise the walk goes down from the
-    target to level 0, largest step first, and the sweep counts up from 0
-    in reverse walk order: each way by generators m, m + 1, ... to a point
-    that the first m + 1 reach stays among those points.
+    N-combination and counts 0.  Otherwise the walk goes down from every
+    target at once to level 0, largest step first, and the sweep counts
+    up from 0 in reverse walk order: each way by generators m, m + 1, ...
+    to a point that the first m + 1 reach stays among those points.
+
+    The walk keeps to the orthant of the generators: on a sign axis
+    (i, s) with s beta[i] >= 0 for every generator beta, a point y with
+    s y[i] < 0 is no N-combination, and neither is any point below it,
+    so it counts 0 and is not walked (a target there is not walked at
+    all).  This is exact, because every point on a way from 0 to a
+    target is an N-combination, hence inside the orthant, and at a level
+    between 0 and the target's; and the union of the targets' walks
+    holds each target's own walk, while every way it adds is still an
+    N-combination.  An axis on which s y[i] is a positive multiple of
+    the level is left out, since level >= 0 already holds it.
     """
 
     def __init__(self, p: ReductivePair, generators: WeightMultiset,
@@ -213,20 +263,38 @@ class PartitionCounter:
                              key=lambda g: -g[1])
         self._down = [(tuple(-c for c in beta), -step, mult)
                       for beta, step, mult in self._steps]
+        self._dead = _orthant(scaled, self._ell)
 
     def _check_rank(self, x: Weight) -> None:
         if len(x) != self.rank:
             raise ValueError(f"expected a weight of rank {self.rank}, got length {len(x)}")
 
     def count(self, target: Weight) -> int:
-        self._check_rank(target)
-        scaled = [c * self._scale for c in target]
-        if any(c.denominator != 1 for c in scaled):
-            return 0
-        x = tuple(c.numerator for c in scaled)
-        level = dot(self._ell, x)
-        points, ends = _walk(x, level, 0, level, self._down, "partition count")
-        return _sweep(points, (0,) * self.rank, reversed(list(zip(ends, self._steps))))[x]
+        return self.counts([target])[0]
+
+    def counts(self, targets) -> list[int]:
+        """count(target) for each of ``targets``, in order."""
+        dead = self._dead
+        starts: dict[tuple[int, ...], int] = {}
+        keys: list[tuple[int, ...] | None] = []
+        for target in targets:
+            self._check_rank(target)
+            scaled = [c * self._scale for c in target]
+            x = None
+            if all(c.denominator == 1 for c in scaled):
+                x = tuple(c.numerator for c in scaled)
+                level = dot(self._ell, x)
+                if level < 0 or (dead is not None and dead(x)):
+                    x = None
+                else:
+                    starts[x] = level
+            keys.append(x)
+        if not starts:
+            return [0] * len(keys)
+        points, ends = _walk(starts, 0, max(starts.values()), self._down,
+                             "partition count", dead)
+        count = _sweep(points, (0,) * self.rank, reversed(list(zip(ends, self._steps))))
+        return [0 if x is None else count[x] for x in keys]
 
 
 def kostant_weights(p: ReductivePair, delta: Weight) -> list[tuple[int, Weight]]:
@@ -262,9 +330,11 @@ def kostant_terms(p: ReductivePair, parab: CompatibleParabolic,
     multiplicity of V(delta) in degree s - i."""
     _check_series_inputs(p, parab, e)
     counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
+    weights = kostant_weights(p, delta)
+    counts = counter.counts([sub(w_weight, e.mu) for _, w_weight in weights])
     terms: dict[int, int] = {}
-    for length, w_weight in kostant_weights(p, delta):
-        terms[length] = terms.get(length, 0) + e.dim_e * counter.count(sub(w_weight, e.mu))
+    for (length, _), value in zip(weights, counts):
+        terms[length] = terms.get(length, 0) + e.dim_e * value
     return terms
 
 
@@ -319,9 +389,15 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     with <delta, rho> >= 0, so each w(delta + rho) has squared norm at
     most R = cutoff - 3 |rho|^2.  By Cauchy-Schwarz its lam-level is at
     most |lam| sqrt(R), tested squared; each weight raises the level, so
-    the points under that cap are grown one support weight at a time and
-    form a set closed under removing a weight.  P on that set comes from
-    ``_sweep``, the passes in walk order, each over the points so far.
+    the points under that cap are grown one support weight at a time.
+    A point y outside the ball with <y, beta> >= 0 for every weight beta
+    is neither kept nor walked on from: |y + x|^2 = |y|^2 + 2 <y, x> +
+    |x|^2 >= |y|^2 for every N-combination x, so nothing at or above y
+    lies in the ball.  Every point below a ball point is therefore kept,
+    and every way to a ball point stays among the points of each pass,
+    so P there comes exactly from ``_sweep``, the passes in walk order,
+    each over the points so far.  The lam-level cap stays, as it is what
+    ends the walk.
 
     The walk, the counts and the fold run on int tuples: weights scaled
     by D = lcm(denominators of mu + rho, rho and the support) times the
@@ -362,10 +438,16 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     ball = radius2 * gram_den * den * den
     ball_num, ball_den = ball.numerator, ball.denominator
     steps = _steps(generators, scaled, ell, parab.lam)
+    raised = [[dot(row, beta) for row in gram] for beta in scaled]
+
+    def dead(y) -> bool:        # outside the ball, and no weight lowers |y|^2
+        return norm2(y) * ball_den > ball_num and all(dot(y, g) >= 0 for g in raised)
+
     level = dot(ell, start)
-    points, ends = _walk(start, level, level, math.isqrt(max(0, math.floor(cap2))), steps,
-                         "k-type table")
+    points, ends = _walk({start: level}, level, math.isqrt(max(0, math.floor(cap2))),
+                         steps, "k-type table", dead)
     count = _sweep(points, start, zip(ends, steps))
+    del points                  # before the fold
 
     # the fold: y -> y - <y, sigma_i-coroot> sigma_i while a pairing is
     # negative, the pairings c = fun_den D <y, sigma_j-coroot> carried along

@@ -16,21 +16,36 @@ from redpair.rootsystem import fold_dominant
 from redpair.weights import Weight, add, sub, zero
 
 
-def walk_points(p, parab, e, cutoff: Fraction) -> dict[Weight, Fraction]:
+def walk_points(p, parab, e, cutoff: Fraction,
+                ball_prune: bool = False) -> dict[Weight, Fraction]:
     """The N-combinations x of the weights of n cap k-perp whose lam-level
     t_pair(lam, mu + rho + x) is at most |lam| sqrt(R), R = cutoff -
     3 |rho|^2, tested squared, each with that level.  Each weight raises
-    the level, so they are grown one support weight at a time."""
+    the level, so they are grown one support weight at a time.
+
+    With ``ball_prune``, a point y = mu + rho + x with |y|^2 > R and
+    t_pair(y, beta) >= 0 for every weight beta is neither kept nor walked
+    on from: |y + x'|^2 >= |y|^2 for every N-combination x', so no point
+    at or above y lies in the ball."""
     lam = parab.lam
+    mu_rho = add(e.mu, p.rho)
+    support = parab.ch_t_n_cap_kperp.support()
     radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
     cap2 = p.t_pair(lam, lam) * radius2
-    points: dict[Weight, Fraction] = {zero(p.rank_t): p.t_pair(lam, add(e.mu, p.rho))}
-    for beta in parab.ch_t_n_cap_kperp.support():
+
+    def beyond_the_ball(x: Weight) -> bool:
+        y = add(mu_rho, x)
+        return (p.t_pair(y, y) > radius2
+                and all(p.t_pair(y, beta) >= 0 for beta in support))
+
+    points: dict[Weight, Fraction] = {zero(p.rank_t): p.t_pair(lam, mu_rho)}
+    for beta in support:
         step = p.t_pair(lam, beta)
         for x, level in list(points.items()):
             x, level = add(x, beta), level + step
             # a point already present has had (or will have) its own walk
-            while (level <= 0 or level * level <= cap2) and x not in points:
+            while ((level <= 0 or level * level <= cap2) and x not in points
+                   and not (ball_prune and beyond_the_ball(x))):
                 points[x] = level
                 x, level = add(x, beta), level + step
     return points

@@ -2,8 +2,11 @@
 partition_oracle, in ``Fraction`` and in integer coordinates: equal
 counts on the point-query shapes of the benchmark, at the zero target,
 at negative levels, off the lattice, for a pair whose generators have
-non-integer coordinates, and for generators of multiplicity > 1 in rank
-one and two.  The counter's walk is refused past the table's point cap."""
+non-integer coordinates, for generators of multiplicity > 1 in rank
+one and two, for gradings outside the standard chamber, where the walk's
+orthant prune is partial, and for many targets counted at once.  The
+counter's walk is refused past the table's point cap at exactly the size
+of the pruned walk."""
 
 from collections import Counter
 from fractions import Fraction
@@ -11,9 +14,12 @@ from fractions import Fraction
 import pytest
 
 from redpair import fundseries
-from redpair.fundseries import PartitionCounter, inducing_module, kostant_weights
+from redpair.fundseries import (PartitionCounter, inducing_module, kostant_weights,
+                                ktype_table, series_parabolic)
+from redpair.genericity import norm2_shifted
 from redpair.parabolic import compatible_parabolic
-from redpair.reductive import make_cartan_pair, make_explicit_pair, make_sl2_pair
+from redpair.reductive import (make_cartan_pair, make_explicit_pair, make_levi_pair,
+                               make_sl2_pair)
 from redpair.rootsystem import CapExceeded, build_root_system
 from redpair.weights import add, scale, sub, vec, zero
 from partition_oracle import IntegerCounter
@@ -121,19 +127,94 @@ def test_zero_negative_and_off_lattice_targets(lie):
     assert not any(counter.count(target) for target in negative + off_lattice)
 
 
-def tally_combinations(p, generators, grading, bound):
-    """Every N-combination of the generators with level <= bound, counted."""
+@pytest.mark.parametrize("lie, nodes", [("B3", {1, 2}), ("C3", {2, 3})])
+def test_counts_match_per_target_oracles_on_levi_kostant_targets(lie, nodes):
+    # the Kostant targets of the five largest deltas of a small table, in
+    # one call, mixed with repeats and with targets that count 0: off the
+    # lattice, at a negative level, and at a positive level outside the
+    # generators' orthant
+    p = make_levi_pair(build_root_system(lie), nodes)
+    parab, e = series_parabolic(p, zero(p.g.rank))
+    table = ktype_table(p, parab, e, norm2_shifted(p, e.mu) + 100)
+    deltas = [delta for delta, _ in table.sorted_entries()[-5:]]
+    targets = [sub(w, e.mu) for delta in deltas for _, w in kostant_weights(p, delta)]
+    beta = parab.ch_t_n_cap_kperp.support()[0]
+    zeros = [add(beta, vec(Fraction(1, 2), 0, 0)), sub(zero(3), beta), vec(-1, 9, 9)]
+    assert p.t_pair(parab.lam, zeros[2]) > 0
+    mixed = targets[:7] + zeros + targets[7:] + zeros + targets[:4]
+    counter, oracles = counters(p, parab.ch_t_n_cap_kperp, parab.lam)
+    values = counter.counts(mixed)
+    for oracle in oracles:
+        assert values == [oracle.count(t) for t in mixed]
+    assert values == [counter.count(t) for t in mixed]
+    assert all(t in targets for t, v in zip(mixed, values) if v)
+    assert sum(map(bool, values)) > 10
+    assert not any(v for t, v in zip(mixed, values) if t in zeros)
+
+
+def test_targets_that_count_0_are_not_walked(monkeypatch):
+    # off the lattice, at a negative level, and at a positive level
+    # outside the generators' orthant: no point is walked for any of them
+    counter, oracles, generators = cartan_counters("B3")
+    p = make_cartan_pair(build_root_system("B3"))
+    targets = [vec(Fraction(1, 2), 3, 3), sub(zero(3), generators.support()[0]),
+               vec(-1, 3, 3), vec(3, 3, -1)]
+    assert all(p.t_pair(p.g.rho_tilde, t) > 0 for t in targets[2:])
+    assert all(oracle.count(t) == 0 for oracle in oracles for t in targets)
+    monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", 0)
+    assert counter.counts(targets) == [0, 0, 0, 0]
+    assert counter.counts([]) == []
+    with pytest.raises(CapExceeded, match="cap of 0 lattice points"):
+        counter.counts(targets + [zero(3)])
+
+
+@pytest.mark.parametrize("lie", ["A2", "B2", "G2"])
+def test_counts_graded_outside_the_standard_chamber(lie):
+    # graded by s_1 rho, the generators are the positive roots of its
+    # chamber: -alpha_1 is one of them, so the first coordinate takes both
+    # signs and only the other half-spaces prune the walk
+    p = make_cartan_pair(build_root_system(lie))
+    rho = p.g.rho_tilde
+    grading = sub(rho, vec(1, 0))                # s_1 rho = rho - alpha_1
+    generators = compatible_parabolic(p, grading).ch_t_n_cap_kperp
+    support = generators.support()
+    assert {b[0] > 0 for b in support if b[0]} == {True, False}
+    assert all(b[1] >= 0 for b in support)
+    counter, oracles = counters(p, generators, grading)
+    targets = [vec(a, b) for a in range(-8, 9) for b in range(-2, 13)]
+    values = counter.counts(targets)
+    for oracle in oracles:
+        assert values == [oracle.count(t) for t in targets]
+    assert any(v for t, v in zip(targets, values) if t[0] < 0)
+    assert not any(v for t, v in zip(targets, values) if t[1] < 0)
+
+
+def tally_combinations(p, generators, grading, bound, below=None):
+    """Every N-combination x of the generators with level <= bound,
+    counted.  With ``below`` given, only the x for which below - x lies in
+    every coordinate half-space {s y_i >= 0} that holds all generators,
+    leaving out a half-space whose functional is a positive multiple of
+    the level y -> t_pair(grading, y)."""
     tally = Counter()
+    rank = p.rank_t
+    level_of_axis = [p.t_pair(grading, tuple(Fraction(int(j == i)) for j in range(rank)))
+                     for i in range(rank)]
+    half_spaces = [(i, s) for i in range(rank) for s in (1, -1)
+                   if all(s * b[i] >= 0 for b in generators)
+                   and not (s * level_of_axis[i] > 0
+                            and sum(c != 0 for c in level_of_axis) == 1)]
 
     def walk(i, current):
         if i == len(generators):
-            tally[current] += 1
+            if below is None or all(s * (below[j] - current[j]) >= 0
+                                    for j, s in half_spaces):
+                tally[current] += 1
             return
         while p.t_pair(grading, current) <= bound:
             walk(i + 1, current)
             current = add(current, generators[i])
 
-    walk(0, zero(p.rank_t))
+    walk(0, zero(rank))
     return tally
 
 
@@ -174,15 +255,17 @@ def test_count_rejects_wrong_rank():
 
 @pytest.mark.parametrize("lie, x", [("A2", (7, 21)), ("B2", (5, 10)), ("G2", (4, 8))])
 def test_count_walk_fits_the_point_cap(monkeypatch, lie, x):
-    # the walk of a count visits the distinct combinations of level at
-    # most the target's: it fits a cap of exactly that many points and is
-    # refused by one fewer
+    # the walk of a count visits the distinct combinations x of level at
+    # most the target's for which target - x stays in the generators'
+    # orthant: it fits a cap of exactly that many points, is refused by
+    # one fewer, and is smaller than the whole level slab
     p = make_cartan_pair(build_root_system(lie))
     grading = p.g.rho_tilde
     generators = compatible_parabolic(p, grading).ch_t_n_cap_kperp
     target = vec(*x)
-    size = len(tally_combinations(p, generators.support(), grading,
-                                  p.t_pair(grading, target)))
+    bound = p.t_pair(grading, target)
+    size = len(tally_combinations(p, generators.support(), grading, bound, below=target))
+    assert size < len(tally_combinations(p, generators.support(), grading, bound))
     counter, (oracle, _) = counters(p, generators, grading)
     monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", size)
     assert counter.count(target) == oracle.count(target) > 0

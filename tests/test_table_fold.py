@@ -1,15 +1,20 @@
 """The signed fold of ``ktype_table`` against the per-candidate Kostant sums
 of ``table_oracle``, on every Levi subset of the rank-two and rank-three
 types, on sl2 and Cartan pairs and on a Levi pair entered as an explicit
-pair, each at two cutoffs."""
+pair, each at two cutoffs; against ``euler_multiplicity`` entry by entry;
+and the size and the answer of the ball-pruned walk, up to a C3 table
+whose whole Cauchy-Schwarz slab would not fit under the cap."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from redpair import fundseries
-from redpair.fundseries import inducing_module, ktype_table, series_parabolic
+from redpair.cli import main
+from redpair.fundseries import (euler_multiplicity, inducing_module, ktype_table,
+                                series_parabolic)
 from redpair.genericity import norm2_shifted
 from redpair.parabolic import compatible_parabolic
 from redpair.reductive import (
@@ -100,13 +105,42 @@ def test_fold_matches_oracle_on_sl2_cartan_and_explicit_pairs(make):
 @pytest.mark.parametrize("lie, nodes, extra", [("C3", (), 40), ("G2", (1,), 200),
                                                ("A2", (1,), 400)])
 def test_walk_visits_the_oracle_points(monkeypatch, lie, nodes, extra):
-    # the walk is the oracle's, point for point: it fits a cap of exactly
-    # that many points and is refused by one fewer
+    # the walk is the ball-pruned oracle's, point for point: it fits a cap
+    # of exactly that many points, is refused by one fewer, and is smaller
+    # than the whole Cauchy-Schwarz slab
     p, parab, e = levi(lie, nodes)
     cutoff = norm2_shifted(p, e.mu) + extra
-    size = len(walk_points(p, parab, e, cutoff))
+    size = len(walk_points(p, parab, e, cutoff, ball_prune=True))
+    assert size < len(walk_points(p, parab, e, cutoff))
     monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", size)
     ktype_table(p, parab, e, cutoff)
     monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", size - 1)
     with pytest.raises(CapExceeded, match=f"cap of {size - 1} lattice points"):
         ktype_table(p, parab, e, cutoff)
+
+
+@pytest.mark.parametrize("lie, nodes, extra", [("G2", (1,), 400), ("B3", (1, 2), 200),
+                                               ("C3", (2, 3), 300)])
+def test_every_entry_is_its_euler_multiplicity(lie, nodes, extra):
+    # the orthant-pruned count of all W_k-terms of a delta at once against
+    # the ball-pruned fold
+    p, parab, e = levi(lie, nodes)
+    table = ktype_table(p, parab, e, norm2_shifted(p, e.mu) + extra)
+    assert len(table.entries) > 40
+    for delta, mult in table.entries.items():
+        assert euler_multiplicity(p, parab, e, delta) == mult, delta
+
+
+def test_c3_table_answers_inside_a_tenth_of_its_slab(monkeypatch, tmp_path, capsys):
+    # its Cauchy-Schwarz slab holds 489,328 points, its ball 87,720; the
+    # digest is that of the table computed over the whole slab
+    config = tmp_path / "c3.cfg"
+    config.write_text("lie_type = C3\nk = levi\nnodes = [2, 3]\ncommand = fundseries\n"
+                      "nu = [0, 0, 0]\nnu_basis = fundamental\ncutoff = 3000\n",
+                      encoding="utf-8")
+    monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", 100_000)
+    assert main(["--config", str(config), "--emit", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"delta"') == 1020
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f194e381f6fbbbb02363aea6a8fb1505b09d256d621edd51eba31271a5aa345a"
