@@ -7,7 +7,8 @@ once for matrices and refused deeper; decimals, exponents and
 underscores are rejected so that exactness survives the I/O boundary).
 The command verb comes from the command line or from a ``command`` key
 in the config.  ``KEYS`` gives the shape of every key, and a key that
-the job's verb and ``k`` kind do not read is refused.
+the job's verb and ``k`` kind do not read is refused, as is a
+``--cutoff`` flag given to a verb that draws no table.
 
 Verbs: pair-info, parabolic, generic-check, sl2-threshold, fundseries,
 verify.  Output is a human-readable report, a machine-readable JSON
@@ -491,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"config {args.config!r} is not valid UTF-8: {exc}") from None
         job, args.command = check_job(parse_config(text), args.command)
         if args.cutoff is not None:
+            if "cutoff" not in VERB_KEYS[args.command]:
+                raise ConfigError(f"option '--cutoff' is not read by {args.command}")
             args.cutoff = _parse_rational(args.cutoff.strip())
         doc = run_job(job, args)
     except ConfigError as exc:

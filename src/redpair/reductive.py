@@ -11,11 +11,18 @@ the rest once:
   orthocomplement of the kernel), from one fraction-free solve of the
   saddle-point system [[G, R^T], [R, 0]];
 - the restriction of every positive root of the ambient algebra, as int
-  rows scaled by the common denominator of the restriction and as weights;
+  rows scaled by the common denominator of the restriction and as weights,
+  multiplied out in ints from the root system's int tuples;
 - the k-positive roots, the closure under raising simple reflections of
   the k Cartan matrix <sigma_i, sigma_j-coroot>, which must be a
   generalized Cartan matrix, combined with the k-simple roots; rho, half
-  their sum; and |W_k|, read off the heights of the closure.
+  their sum; and |W_k|, read off the heights of the closure.  These depend
+  on the k root data alone, so they are derived once per process for each
+  (k-simple roots, coroot functionals, rank, root cap) and shared: the
+  sl2 pairs over one type share one entry, the Levi pairs one per type
+  and node set.
+  The LRU cache keeps MAX_CACHED_K_DATA entries of tuples, which no caller
+  can change, and keeps nothing from data that is refused.
 
 When the restriction is the identity, which the constructor reads off the
 matrix itself, the section is the identity, the induced form is the
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .linalg import Matrix, dot, mat_vec, solve, to_integers, transpose
 from .rootsystem import (
@@ -43,6 +50,8 @@ from .rootsystem import (
     weyl_group_order,
 )
 from .weights import FractionTable, Weight, WeightMultiset, fmt, neg, weight
+
+MAX_CACHED_K_DATA = 256    # k root data whose derived side _k_side keeps
 
 
 @dataclass(frozen=True)
@@ -134,12 +143,12 @@ def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Mat
 
 
 def _images(matrix: Matrix, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
-    """matrix . v for every integer vector v (int or integral Fraction
-    entries), in order: the int images of the matrix scaled by its common
-    denominator D, and the weights, each coordinate made a Fraction once."""
+    """matrix . v for every int vector v, in order: the int images of the
+    matrix scaled by its common denominator D, and the weights, each
+    coordinate made a Fraction once."""
     rows, den = to_integers(matrix)
     fractions = FractionTable(den)
-    scaled = tuple(tuple([sum([a * c.numerator for a, c in zip(row, v)]) for row in rows])
+    scaled = tuple(tuple([sum([a * c for a, c in zip(row, v)]) for row in rows])
                    for v in vectors)
     return scaled, tuple(tuple([fractions[x] for x in image]) for image in scaled)
 
@@ -170,29 +179,37 @@ def _k_cartan(k_simple: tuple[Weight, ...],
     return [[v.numerator for v in row] for row in cartan]
 
 
-def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
-          functionals: tuple[tuple[Fraction, ...], ...], kind: str) -> ReductivePair:
-    """The pair fixed by a full-row-rank restriction and the k root data,
-    every other field derived (see the module docstring).
+@lru_cache(maxsize=MAX_CACHED_K_DATA)
+def _k_side(k_simple: tuple[Weight, ...], functionals: tuple[tuple[Fraction, ...], ...],
+            rank_t: int, max_roots: int) -> tuple[tuple[Weight, ...], Weight, int]:
+    """The k-positive roots, rho and |W_k| of the k root data.
 
     The k-positive roots come out ordered by height and, within a height,
     lexicographically in k-simple-root coordinates; a Levi subset's roots
     therefore keep the order they have among the roots of g.
     """
+    closure = _root_closure(_k_cartan(k_simple, functionals), max_roots=max_roots)
+    _, k_positive = _images(transpose(k_simple), closure)
+    rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
+    return k_positive, rho, weyl_group_order(closure)
+
+
+def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
+          functionals: tuple[tuple[Fraction, ...], ...], kind: str) -> ReductivePair:
+    """The pair fixed by a full-row-rank restriction and the k root data,
+    every other field derived (see the module docstring)."""
     if restriction == g.simple_roots:
         # the identity: the simple roots are the unit vectors of their basis
-        lift, t_gram, restricted = restriction, g.gram, g.positive_roots
-        scaled = tuple(tuple([c.numerator for c in root]) for root in restricted)
+        lift, t_gram = restriction, g.gram
+        scaled, restricted = g.positive_integers, g.positive_roots
     else:
         lift, t_gram = _orthogonal_section(g, restriction)
-        scaled, restricted = _images(restriction, g.positive_roots)
-    closure = _root_closure(_k_cartan(k_simple, functionals),
-                            max_roots=2 * len(g.positive_roots))
-    _, k_positive = _images(transpose(k_simple), closure)
+        scaled, restricted = _images(restriction, g.positive_integers)
     rank_t = len(restriction)
-    rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
+    k_positive, rho, k_weyl_order = _k_side(k_simple, functionals, rank_t,
+                                            2 * len(g.positive_roots))
     return ReductivePair(g, rank_t, restriction, lift, t_gram, k_simple, functionals,
-                         k_positive, rho, restricted, scaled, kind, weyl_group_order(closure))
+                         k_positive, rho, restricted, scaled, kind, k_weyl_order)
 
 
 def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:

@@ -16,6 +16,15 @@ the Cartan matrix and the Weyl vector are likewise formed from integer
 sums.  The walk counts nothing: its callers read the exact order off
 the root heights (``weyl_group_order``) and refuse a group over MAX_WEYL
 elements (``refuse_weyl_order``) before it starts.
+
+``build_root_system`` builds each type once per process: it refuses a
+type over MAX_POSITIVE_ROOTS roots on every call, then returns the build
+kept by an LRU cache of MAX_CACHED_TYPES types, keyed on the parsed
+``LieType`` (so "A01" and "A1" share one entry).  A ``RootSystem`` is
+frozen and made of tuples, so every caller may share it; a build that
+raises is not kept.  It carries the positive roots twice, as weights and
+as the int tuples the closure produced, for callers that restrict them
+in integers.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .linalg import Matrix, dot, mat_vec, solve
@@ -51,6 +61,7 @@ _POSITIVE_ROOT_COUNT = {
 
 MAX_POSITIVE_ROOTS = 200   # build_root_system refuses more (E8 has 120)
 MAX_WEYL = 1_000_000       # no Weyl group over this order is walked (|W(E7)| = 2903040)
+MAX_CACHED_TYPES = 64      # root systems kept built by build_root_system
 
 
 class CapExceeded(RuntimeError):
@@ -152,6 +163,7 @@ class RootSystem:
     cartan: Matrix  # cartan[i][j] = <alpha_i, alpha_j-coroot>
     simple_roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
+    positive_integers: tuple[tuple[int, ...], ...]  # the same, as int tuples
     rho_tilde: Weight
 
     @property
@@ -228,15 +240,24 @@ def weyl_group_order(positive_roots) -> int:
     return order
 
 
+def _positive_root_count(lie_type: LieType) -> int:
+    return sum(_POSITIVE_ROOT_COUNT[f](n) for f, n in lie_type.components)
+
+
 def build_root_system(t: LieType | str) -> RootSystem:
-    """Construct the root system of a semisimple type, exactly."""
+    """Construct the root system of a semisimple type, exactly, once per
+    process for each type (see the module docstring)."""
     lie_type = LieType.parse(t) if isinstance(t, str) else t
-    expected = sum(_POSITIVE_ROOT_COUNT[f](n) for f, n in lie_type.components)
+    expected = _positive_root_count(lie_type)
     if expected > MAX_POSITIVE_ROOTS:
         raise CapExceeded(f"{lie_type} has {expected} positive roots, over the cap of "
                           f"{MAX_POSITIVE_ROOTS}")
-    rank = lie_type.rank
+    return _build_root_system(lie_type)
 
+
+@lru_cache(maxsize=MAX_CACHED_TYPES)
+def _build_root_system(lie_type: LieType) -> RootSystem:
+    rank = lie_type.rank
     gram = [[Fraction(0)] * rank for _ in range(rank)]
     offset = 0
     for family, n in lie_type.components:
@@ -250,6 +271,7 @@ def build_root_system(t: LieType | str) -> RootSystem:
     g6 = [[6 * v.numerator // v.denominator for v in row] for row in gram]
     a = [[2 * g6[i][j] // g6[j][j] for j in range(rank)] for i in range(rank)]
     roots = _root_closure(a)
+    expected = _positive_root_count(lie_type)
     if len(roots) != expected:
         raise AssertionError(
             f"positive root closure for {lie_type} produced {len(roots)} roots, "
@@ -266,6 +288,7 @@ def build_root_system(t: LieType | str) -> RootSystem:
         simple_roots=tuple(tuple(fractions[int(j == i)] for j in range(rank))
                            for i in range(rank)),
         positive_roots=tuple(tuple(fractions[c] for c in r) for r in roots),
+        positive_integers=tuple(roots),
         rho_tilde=tuple(Fraction(t, 2) for t in total),
     )
 

@@ -470,7 +470,22 @@ def test_cutoff_flag_numeral_grammar_is_parse_error(tmp_path, capsys):
     assert json.loads(out)["table"]["cutoff"] == "169/8"
 
 
-EXPLICIT = "k = explicit\nrestriction = {}\nk_simple_roots = {}\nk_coroots = {}"
+@pytest.mark.parametrize("verb, extra", [
+    ("pair-info", ""), ("parabolic", "mu = 3\n"), ("generic-check", "mu = 3\n"),
+    ("sl2-threshold", ""),
+])
+def test_cutoff_flag_on_a_verb_without_a_table_is_parse_error(tmp_path, capsys, verb, extra):
+    # the flag is refused like the config key, not silently dropped
+    cfg = write_config(tmp_path, f"lie_type = A2\nk = sl2\nlabels = [2, 2]\n"
+                                 f"command = {verb}\n{extra}")
+    assert run_main(capsys, ["--config", cfg])[0] == 0
+    code, out, err = run_main(capsys, ["--config", cfg, "--cutoff", "7"])
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: option '--cutoff' is not read by {verb}\n"
+
+
+EXPLICIT ="k = explicit\nrestriction = {}\nk_simple_roots = {}\nk_coroots = {}"
 
 
 @pytest.mark.parametrize("key, body", [
