@@ -3,12 +3,14 @@
 A job is described by a flat UTF-8 config file of ``key = value`` lines
 (values: bare words, exact rationals ``[+-]?[0-9]+(/[0-9]+)?`` with a
 nonzero denominator, like ``5`` or ``3/2``, and bracketed arrays, nested
-once for matrices and refused deeper; decimals, exponents and
-underscores are rejected so that exactness survives the I/O boundary).
-The command verb comes from the command line or from a ``command`` key
-in the config.  ``KEYS`` gives the shape of every key, and a key that
-the job's verb and ``k`` kind do not read is refused, as is a
-``--cutoff`` flag given to a verb that draws no table.
+once for matrices and refused deeper, with no empty element, a trailing
+comma included; decimals, exponents and underscores are rejected so that
+exactness survives the I/O boundary).  ``KEYS`` gives the shape of every
+key, and a key that the job's verb and ``k`` kind do not read is refused.
+The verb and the ``--cutoff`` and ``--max-weyl`` flags are values of the
+keys ``command``, ``cutoff`` and ``max_weyl``, read in the same grammar
+and to the same shape; a flag wins over its key, which is still parsed,
+and ``--cutoff`` given to a verb that draws no table is refused.
 
 Verbs: pair-info, parabolic, generic-check, sl2-threshold, fundseries,
 verify.  Output is a human-readable report, a machine-readable JSON
@@ -16,7 +18,8 @@ document with canonical ordering (byte-identical across runs), or both.
 
 Exit codes: 0 success, 1 internal error (any other exception, a fault of
 the program, printed as one ``internal error: ...`` line with nothing on
-stdout), 2 parse error, 3 validation error, 4 resource cap exceeded.
+stdout), 2 parse error (every refusal of the command line or the config,
+one ``parse error: ...`` line), 3 validation error, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -89,29 +92,26 @@ def _parse_value(text: str, key: str, depth: int = 2):
     if not text.endswith("]"):
         raise ConfigError(f"unterminated array: {text!r}")
     body = text[1:-1]
-    # split at top-level commas only
-    parts, level, current = [], 0, []
-    for ch in body:
+    if not body.strip():
+        return []
+    # split at top-level commas only; every part, the last included, is nonempty
+    cuts, level = [-1], 0
+    for i, ch in enumerate(body):
         if ch == "[":
             level += 1
         elif ch == "]":
             level -= 1
             if level < 0:
                 raise ConfigError(f"unbalanced brackets in {text!r}")
-        if ch == "," and level == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+        elif ch == "," and level == 0:
+            cuts.append(i)
     if level != 0:
         raise ConfigError(f"unbalanced brackets in {text!r}")
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
+    cuts.append(len(body))
     items = []
-    for part in parts:
-        part = part.strip()
-        if not part:
+    for start, end in zip(cuts, cuts[1:]):
+        part = body[start + 1:end]
+        if not part.strip():
             raise ConfigError(f"empty array element in {text!r}")
         items.append(_parse_value(part, key, depth - 1))
     return items
@@ -264,18 +264,14 @@ def _ser(value):
     arrays, multisets as sorted weight/mult records."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, bool) or isinstance(value, int):
+    if value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, tuple):
-        return [_ser(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_ser(v) for v in value]
     if isinstance(value, WeightMultiset):
         return [{"weight": _ser(w), "mult": m} for w, m in value.items()]
     if isinstance(value, dict):
         return {k: _ser(v) for k, v in value.items()}
-    if value is None or isinstance(value, str):
-        return value
     raise TypeError(f"cannot serialize {value!r}")
 
 
@@ -354,23 +350,16 @@ def _table_doc(table: MultiplicityTable) -> dict:
 # job execution
 
 
-def run_job(job: dict, args) -> dict:
+def run_job(job: dict, command: str) -> dict:
     p = build_pair(job)
-    cap = args.max_weyl if args.max_weyl is not None else job.get("max_weyl")
+    cap = job.get("max_weyl")
     if cap is not None:
         if cap < 1:
             raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
         # guard: refuse jobs whose small Weyl group is larger than the cap,
         # its order read off the k-root heights without enumerating it
         refuse_weyl_order(p.k_weyl_order, cap)
-    doc: dict = {
-        "job": {
-            "lie_type": job["lie_type"],
-            "k": job["k"],
-            "command": args.command,
-        }
-    }
-    command = args.command
+    doc: dict = {"job": {"lie_type": job["lie_type"], "k": job["k"], "command": command}}
 
     if command == "pair-info":
         doc["pair"] = _pair_doc(p)
@@ -401,7 +390,7 @@ def run_job(job: dict, args) -> dict:
     nu = _as_gweight(_require(job, "nu"), p, job.get("nu_basis"))
     lam = _as_tweight(job["lambda"], p, "lambda") if "lambda" in job else None
     parab, e = series_parabolic(p, nu, lam)
-    cutoff = args.cutoff if args.cutoff is not None else job.get("cutoff")
+    cutoff = job.get("cutoff")
     if cutoff is None:
         # generous default: the minimal norm plus 100 units of the rho norm,
         # or plus 100 when the subalgebra has no roots at all
@@ -465,24 +454,32 @@ def emit(doc: dict, mode: str, out) -> None:
         out.write(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Collects strings only; a refusal raises ConfigError, with no usage text."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 # built once, at import; each parse_args call returns a fresh namespace
-_PARSER = argparse.ArgumentParser(
+_PARSER = _Parser(
     prog="redpair",
     description="exact k-type computations for reductive pairs",
 )
-_PARSER.add_argument("command", nargs="?", choices=COMMANDS,
-                     help="job verb; may also come from the config file")
+_PARSER.add_argument("command", nargs="?", help="job verb, one of " + ", ".join(COMMANDS)
+                     + "; may also come from the config file")
 _PARSER.add_argument("--config", required=True, help="path to the job config")
-_PARSER.add_argument("--cutoff", default=None,
-                     help="norm cutoff for tables, as an exact rational")
-_PARSER.add_argument("--max-weyl", type=int, default=None,
-                     help="cap on the order of the small Weyl group")
+_PARSER.add_argument("--cutoff", help="norm cutoff for tables, as an exact rational")
+_PARSER.add_argument("--max-weyl", help="cap on the order of the small Weyl group")
 _PARSER.add_argument("--emit", choices=("human", "machine", "both"), default="human")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
+        # the verb, --cutoff and --max-weyl are config values: one grammar, one schema
+        flags = {key: KEYS[key](_parse_value(text, key), key)
+                 for key, text in vars(args).items() if key in KEYS and text is not None}
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
@@ -490,14 +487,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {args.config!r} is not valid UTF-8: {exc}") from None
-        job, args.command = check_job(parse_config(text), args.command)
-        if args.cutoff is not None:
-            if "cutoff" not in VERB_KEYS[args.command]:
-                raise ConfigError(f"option '--cutoff' is not read by {args.command}")
-            args.cutoff = _parse_rational(args.cutoff.strip())
-        doc = run_job(job, args)
-    except ConfigError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        job, command = check_job(parse_config(text), flags.pop("command", None))
+        if "cutoff" in flags and "cutoff" not in VERB_KEYS[command]:
+            raise ConfigError(f"option '--cutoff' is not read by {command}")
+        doc = run_job(job | flags, command)   # the flags win over the keys
+    except ConfigError as exc:   # a flag may hold a newline; the reason stays one line
+        print(f"parse error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return EXIT_PARSE
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

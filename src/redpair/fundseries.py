@@ -397,7 +397,13 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     and every way to a ball point stays among the points of each pass,
     so P there comes exactly from ``_sweep``, the passes in walk order,
     each over the points so far.  The lam-level cap stays, as it is what
-    ends the walk.
+    ends the walk.  A kept point outside the ball, whose count may be
+    inexact, is folded too, with no filter of its own: the fold is an
+    isometry, so it lands on a z with |z|^2 > R, and for dominant
+    delta = z - rho the identity above gives |delta + 2 rho|^2 > cutoff,
+    so the final norm test drops it (a non-dominant z - rho is no entry
+    either).  Every point of one z has the same norm, so such counts
+    never reach an entry.
 
     The walk, the counts and the fold run on int tuples: weights scaled
     by D = lcm(denominators of mu + rho, rho and the support) times the
@@ -454,8 +460,6 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     cartan = [[dot(f, s) // q for f in funs] for s in sigmas]
     folded: dict[tuple[int, ...], int] = {}
     for y, n in count.items():
-        if norm2(y) * ball_den > ball_num:
-            continue
         c = [dot(f, y) for f in funs]
         while True:
             for i, ci in enumerate(c):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from redpair.cli import ConfigError, main, parse_config
+from redpair.cli import COMMANDS, ConfigError, main, parse_config
 
 
 def write_config(tmp_path, text, name="job.cfg"):
@@ -604,6 +604,59 @@ def test_parse_messages_print_values_as_written(tmp_path, capsys, text, message)
     assert err == f"parse error: {message}\n"
     assert "Fraction(" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "lie_type = A2\nk = levi\nnodes = [1,]\n",
+    "lie_type = A2\n" + EXPLICIT.format("[[2, 2],]", "[[2]]", "[[1]]") + "\n",
+], ids=["nodes", "restriction"])
+def test_trailing_comma_is_an_empty_array_element(tmp_path, capsys, text):
+    # the last element is held to the same rule as every other one
+    code, out, err = run_main(capsys, ["pair-info", "--config", write_config(tmp_path, text)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: empty array element in ")
+    assert parse_config("nodes = [ ]\n") == {"nodes": []}
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("1_0", 2), ("1e1", 2), ("10/1", 0), ("foo", 2), ("0", 2), (" 5 ", 0), ("[5]", 2),
+])
+def test_max_weyl_reads_the_same_as_a_flag_and_as_a_key(tmp_path, capsys, value, expected):
+    # one grammar and one schema for the flag and the config key
+    text = SL2_A2 + "command = pair-info\n"
+    flag = run_main(capsys, ["--config", write_config(tmp_path, text), "--max-weyl", value])
+    key = run_main(capsys, ["--config",
+                            write_config(tmp_path, text + f"max_weyl = {value}\n", "key.cfg")])
+    assert flag[0] == key[0] == expected
+    assert flag == key
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "{cfg}", "--bogus"],
+    ["pair-info"],
+    ["bogus", "--config", "{cfg}"],
+    ["--config", "{cfg}", "--emit", "xml"],
+    ["--config", "{cfg}", "--max-weyl", "foo"],
+    ["--config", "{cfg}", "--max-weyl", "foo\nbar"],
+], ids=["unknown-flag", "no-config", "bad-verb", "bad-emit", "max-weyl-word",
+        "max-weyl-newline"])
+def test_every_command_line_refusal_is_one_parse_error_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, SL2_A2 + "command = pair-info\n")
+    code, out, err = run_main(capsys, [arg.format(cfg=cfg) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert err.endswith("\n") and "\n" not in err[:-1]
+
+
+def test_help_still_prints_the_verbs_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: redpair")
+    assert all(verb in out for verb in COMMANDS)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ of ``table_oracle``, on every Levi subset of the rank-two and rank-three
 types, on sl2 and Cartan pairs and on a Levi pair entered as an explicit
 pair, each at two cutoffs; against ``euler_multiplicity`` entry by entry;
 and the size and the answer of the ball-pruned walk, up to a C3 table
-whose whole Cauchy-Schwarz slab would not fit under the cap."""
+whose whole Cauchy-Schwarz slab would not fit under the cap, with the
+points outside the ball that the walk keeps and the fold must drop."""
 
 import hashlib
 import itertools
@@ -24,7 +25,7 @@ from redpair.reductive import (
     make_sl2_pair,
 )
 from redpair.rootsystem import CapExceeded, build_root_system
-from redpair.weights import vec
+from redpair.weights import add, vec
 from table_oracle import candidate_table, walk_points
 
 
@@ -117,6 +118,21 @@ def test_walk_visits_the_oracle_points(monkeypatch, lie, nodes, extra):
     monkeypatch.setattr(fundseries, "MAX_TABLE_POINTS", size - 1)
     with pytest.raises(CapExceeded, match=f"cap of {size - 1} lattice points"):
         ktype_table(p, parab, e, cutoff)
+
+
+@pytest.mark.parametrize("lie, nodes, extra, outside, size", [("G2", (1,), 400, 366, 888),
+                                                              ("C3", (), 40, 290, 434)])
+def test_the_walk_keeps_points_outside_the_ball(lie, nodes, extra, outside, size):
+    # the fold has no ball filter of its own, and relies on the final norm
+    # test to drop what these points fold to; both tables are checked
+    # against an oracle in this file, so that reliance stays exercised
+    p, parab, e = levi(lie, nodes)
+    cutoff = norm2_shifted(p, e.mu) + extra
+    radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
+    points = walk_points(p, parab, e, cutoff, ball_prune=True)
+    shifted = [add(add(e.mu, p.rho), x) for x in points]
+    assert sum(p.t_pair(y, y) > radius2 for y in shifted) == outside
+    assert len(points) == size
 
 
 @pytest.mark.parametrize("lie, nodes, extra", [("G2", (1,), 400), ("B3", (1, 2), 200),
