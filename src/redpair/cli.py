@@ -29,6 +29,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .fundseries import (
     MultiplicityTable,
@@ -47,7 +48,7 @@ from .reductive import (
     make_sl2_pair,
 )
 from .rootsystem import CapExceeded, build_root_system, refuse_weyl_order
-from .weights import Weight, WeightMultiset, add, scale
+from .weights import Weight, WeightMultiset, add, neg, scale, to_integers
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -256,7 +257,8 @@ def _as_gweight(value, p: ReductivePair, basis: str | None) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: _ser makes results JSON-ready, and _json writes them as json.dumps(...,
+# sort_keys=True, indent=2, ensure_ascii=False) would, but on the C string encoder
 
 
 def _ser(value):
@@ -275,6 +277,21 @@ def _ser(value):
     raise TypeError(f"cannot serialize {value!r}")
 
 
+def _json(value, indent: str = "\n") -> str:
+    """The canonical JSON text of a _ser result, indent opening each line."""
+    kind, inner = type(value), indent + "  "
+    if kind is str:
+        return encode_basestring(value)
+    if kind is dict:
+        items = [encode_basestring(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+    elif kind is list or kind is tuple:
+        items = [encode_basestring(v) if type(v) is str else _json(v, inner) for v in value]
+    else:   # an int, a boolean or None; json.dumps refuses any other type
+        return int.__repr__(value) if kind is int else json.dumps(value)
+    ends = "{}" if kind is dict else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _fmt(value) -> str:
     """Human rendering of an already-serialized value."""
     if isinstance(value, list):
@@ -285,13 +302,17 @@ def _fmt(value) -> str:
 
 
 def _pair_doc(p: ReductivePair) -> dict:
+    # delta_t in the order of its int rows, its weights times one positive scale
+    delta_t = sorted({x for r in p.restricted_integers if any(r) for x in (r, neg(r))})
+    den = to_integers(p.restriction)[1]
+    names = {a: str(Fraction(a, den)) for a in set().union(*delta_t)}
     return {
         "embedding": p.embedding_kind,
         "rank_g": p.g.rank,
         "rank_t": p.rank_t,
         "restriction": _ser(p.restriction),
         "t_gram": _ser(p.t_gram),
-        "delta_t": _ser(sorted(p.delta_t)),
+        "delta_t": [[names[a] for a in row] for row in delta_t],
         "k_simple_roots": _ser(list(p.k_simple_roots)),
         "k_positive_roots": _ser(sorted(p.k_positive_roots)),
         "rho": _ser(p.rho),
@@ -451,7 +472,7 @@ def emit(doc: dict, mode: str, out) -> None:
     if mode == "both":
         out.write("--- machine ---\n")
     if mode in ("machine", "both"):
-        out.write(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+        out.write(_json(doc) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -430,7 +430,7 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     rows, base = to_integers([add(e.mu, p.rho), p.rho, *generators.support()])
     den = base * q
     start, rho, *scaled = [tuple(q * c for c in row) for row in rows]
-    gram, gram_den = to_integers(p.t_gram)
+    gram, gram_den = p.t_gram_integers
     ell, ell_den = _grading(p, parab.lam)
 
     def norm2(y) -> int:        # |y / D|^2 times gram_den D^2

@@ -83,7 +83,7 @@ class _Condition2Search:
         self.c = c
         rows, self._den = to_integers(ms.entries)
         (c_row,), self._c_den = to_integers([c])
-        self._gram, _ = to_integers(p.t_gram)
+        self._gram = p.t_gram_integers[0]
         self._gc = [dot(row, c_row) for row in self._gram]
         # Largest pairing B_i G C first: dominant-chamber weights fail fastest
         order = sorted(zip(ms.entries.items(), rows),
@@ -295,9 +295,9 @@ def sl2_threshold(p: ReductivePair) -> int:
     value is an integer and is returned as-is, and for formal mark
     vectors with a half-integral value the floor is the unique integer
     making the prediction match the two genericity conditions at every
-    natural m.
+    natural m.  The sum runs over the int rows, the restricted values
+    times the restriction's denominator D, so the floor is one // (2 D).
     """
     if p.rank_t != 1:
         raise ValueError(f"threshold needs a rank-one subalgebra, got rank {p.rank_t}")
-    total = sum((abs(r[0]) for r in p.restricted_positive), Fraction(0))
-    return math.floor(total / 2)
+    return sum(abs(a) for (a,) in p.restricted_integers) // (2 * to_integers(p.restriction)[1])

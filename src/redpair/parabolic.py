@@ -7,7 +7,7 @@ and the rest are the negatives of n.  The decomposition is recorded
 purely as small-side weight multisets.
 
 The split is one pass over the roots in integers: the pair stores each
-restricted root as an int row, ell = t_gram^T lam is scaled to ints, and
+restricted root as an int row, ell = t_gram^T lam is formed in ints, and
 the sign of one int dot product places each root.  Copies of ch_t n are
 counted under int-row keys.  Regularity (no root of nonzero restriction
 pairs to zero with lam) is read off the same pass: n must hold a root
@@ -24,18 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import dot, mat_vec, to_integers, transpose
+from .linalg import dot, to_integers
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, fmt, neg
 
 
 def _grading(p: ReductivePair, lam: Weight) -> tuple[list[int], int]:
-    """ell = t_gram^T lam, so that ell . y = t_pair(lam, y), scaled by its
-    common denominator into ints, and that denominator."""
+    """ell = t_gram^T lam = t_gram lam (the form is symmetric), so that ell . y =
+    t_pair(lam, y), as ints over a positive denominator, and that denominator."""
     if len(lam) != p.rank_t:
         raise ValueError(f"grading weight must have rank {p.rank_t}")
-    (ell,), den = to_integers([mat_vec(transpose(p.t_gram), lam)])
-    return ell, den
+    (gram, gram_den), ((lam_row,), lam_den) = p.t_gram_integers, to_integers([lam])
+    return [dot(row, lam_row) for row in gram], gram_den * lam_den
 
 
 def _regular(p: ReductivePair, n_roots: tuple[Weight, ...]) -> bool:

@@ -6,10 +6,10 @@ the small one, and by the subalgebra's root data: simple roots with
 coroot functionals.  One constructor, behind all four factories, derives
 the rest once:
 
-- the orthogonal section of the restriction and the induced form on the
+- the orthogonal section of the restriction R and the induced form on the
   small side (the restriction of the invariant form to the
-  orthocomplement of the kernel), from one fraction-free solve of the
-  saddle-point system [[G, R^T], [R, 0]];
+  orthocomplement of the kernel), from int products of R with the root
+  system's inverse Gram matrix and one solve of size rank_t;
 - the restriction of every positive root of the ambient algebra, as int
   rows scaled by the common denominator of the restriction and as weights,
   multiplied out in ints from the root system's int tuples;
@@ -27,10 +27,11 @@ the rest once:
 When the restriction is the identity, which the constructor reads off the
 matrix itself, the section is the identity, the induced form is the
 ambient Gram matrix and the restricted roots are the roots themselves, so
-nothing is solved or restricted.  The parabolic split and the regularity
-test read the stored int rows, the rank-one threshold and the nonzero
-restricted roots the stored weights.  Dominance and integrality on the
-small side are always tested through the supplied coroot functionals,
+nothing is solved or restricted.  The parabolic split, the regularity
+test, the rank-one threshold and the order of the nonzero restricted roots
+read the stored int rows, the gradings and the condition-2 scan the
+induced form in ints, derived once per pair.  Dominance and integrality on
+the small side are always tested through the supplied coroot functionals,
 never through the form, so no normalization mismatch can creep in.
 """
 
@@ -74,6 +75,11 @@ class ReductivePair:
     def delta_t(self) -> frozenset[Weight]:
         """The nonzero restricted roots, positive and negative."""
         return frozenset(x for r in self.restricted_positive if any(r) for x in (r, neg(r)))
+
+    @cached_property
+    def t_gram_integers(self) -> tuple[list[list[int]], int]:
+        """t_gram as int rows over one common denominator, and that denominator."""
+        return to_integers(self.t_gram)
 
     def restrict(self, x: Weight) -> Weight:
         if len(x) != self.g.rank:
@@ -122,35 +128,31 @@ class ReductivePair:
         return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing, self.rho)
 
 
-def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:
-    """Lift L and induced Gram matrix for a full-row-rank restriction R.
+def _orthogonal_section(g: RootSystem, rows, den: int) -> tuple[Matrix, Matrix]:
+    """Lift L and induced Gram matrix for a full-row-rank restriction R = rows / den.
 
-    R L = id with the image of L orthogonal to ker R: one fraction-free
-    solve of [[G, R^T], [R, 0]] [[L], [M]] = [[0], [id]], singular exactly
-    when R is rank-deficient.  The form is -M = (R G^{-1} R^T)^{-1},
-    positive definite as G is; for a single row r, 1 / (r G^{-1} r^T).
-    """
-    n, m = g.rank, len(restriction)
-    zero = Fraction(0)
-    saddle = ([row + column for row, column in zip(g.gram, transpose(restriction))]
-              + [row + (zero,) * m for row in restriction])
+    With G^{-1} = H / h and C = rows H rows^T in ints, the form (R G^{-1} R^T)^{-1}
+    is den^2 h C^{-1}, and L = G^{-1} R^T times it is den H rows^T C^{-1}.  C and H
+    are symmetric: one solve C X = [den^2 h id | den rows H] of size rank_t gives the
+    form and L^T, singular exactly when R is rank-deficient, as G^{-1} is positive
+    definite.  The form is positive definite as G is; for a single row r, 1 / (r G^{-1} r^T)."""
+    (inverse, h), m = g.gram_inverse, len(rows)
+    rows_h = [[dot(r, column) for column in inverse] for r in rows]
+    core = [[dot(r, s) for s in rows_h] for r in rows]
     try:
-        x = solve(saddle, [(zero,) * m] * n
-                  + [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)])
+        x = solve(core, [[den * den * h * (a == b) for b in range(m)] + [den * v for v in s]
+                         for a, s in enumerate(rows_h)])
     except ValueError:
         raise ValueError("rank-deficient restriction: no lift exists") from None
-    return x[:n], tuple(tuple(-v for v in row) for row in x[n:])
+    return tuple(zip(*(row[m:] for row in x))), tuple(row[:m] for row in x)
 
 
-def _images(matrix: Matrix, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
-    """matrix . v for every int vector v, in order: the int images of the
-    matrix scaled by its common denominator D, and the weights, each
-    coordinate made a Fraction once."""
-    rows, den = to_integers(matrix)
+def _images(rows, den: int, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
+    """The matrix rows / den times every int vector v, in order: the int
+    images rows . v, and the weights, each coordinate made a Fraction once."""
     fractions = FractionTable(den)
-    scaled = tuple(tuple([sum([a * c for a, c in zip(row, v)]) for row in rows])
-                   for v in vectors)
-    return scaled, tuple(tuple([fractions[x] for x in image]) for image in scaled)
+    scaled = tuple([tuple([dot(row, v) for row in rows]) for v in vectors])
+    return scaled, tuple([tuple(map(fractions.__getitem__, image)) for image in scaled])
 
 
 def _k_cartan(k_simple: tuple[Weight, ...],
@@ -189,7 +191,7 @@ def _k_side(k_simple: tuple[Weight, ...], functionals: tuple[tuple[Fraction, ...
     therefore keep the order they have among the roots of g.
     """
     closure = _root_closure(_k_cartan(k_simple, functionals), max_roots=max_roots)
-    _, k_positive = _images(transpose(k_simple), closure)
+    _, k_positive = _images(*to_integers(transpose(k_simple)), closure)
     rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
     return k_positive, rho, weyl_group_order(closure)
 
@@ -203,8 +205,9 @@ def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
         lift, t_gram = restriction, g.gram
         scaled, restricted = g.positive_integers, g.positive_roots
     else:
-        lift, t_gram = _orthogonal_section(g, restriction)
-        scaled, restricted = _images(restriction, g.positive_integers)
+        rows, den = to_integers(restriction)
+        lift, t_gram = _orthogonal_section(g, rows, den)
+        scaled, restricted = _images(rows, den, g.positive_integers)
     rank_t = len(restriction)
     k_positive, rho, k_weyl_order = _k_side(k_simple, functionals, rank_t,
                                             2 * len(g.positive_roots))

@@ -24,7 +24,7 @@ kept by an LRU cache of MAX_CACHED_TYPES types, keyed on the parsed
 frozen and made of tuples, so every caller may share it; a build that
 raises is not kept.  It carries the positive roots twice, as weights and
 as the int tuples the closure produced, for callers that restrict them
-in integers.
+in integers, and its inverse Gram matrix in ints, derived once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .linalg import Matrix, dot, mat_vec, solve
@@ -169,6 +169,12 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
+
+    @cached_property
+    def gram_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """G^{-1} as int rows over one common denominator, and that denominator."""
+        rows, den = to_integers(solve(self.gram, self.simple_roots))
+        return tuple(map(tuple, rows)), den
 
     def pair(self, x: Weight, y: Weight) -> Fraction:
         """The invariant form, evaluated in simple-root coordinates."""

@@ -78,7 +78,7 @@ def sub(x: Weight, y: Weight) -> Weight:
 
 
 def neg(x: Weight) -> Weight:
-    return tuple(-a for a in x)
+    return tuple([-a for a in x])
 
 
 def scale(c: Rational, x: Weight) -> Weight:

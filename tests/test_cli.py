@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from redpair import cli
 from redpair.cli import COMMANDS, ConfigError, main, parse_config
 
 
@@ -672,11 +673,12 @@ def test_machine_output_byte_identical(tmp_path, capsys):
 
 def test_machine_output_byte_identical_subprocess(tmp_path):
     cfg = write_config(tmp_path, A2_FUNDSERIES)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     runs = [
         subprocess.run(
             [sys.executable, "-m", "redpair.cli", "--config", cfg,
              "--emit", "machine"],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src},
         ).stdout
         for _ in range(2)
     ]
@@ -702,16 +704,19 @@ def test_human_and_machine_agree_on_table(tmp_path, capsys):
 
 
 def test_human_emit_formats_no_json(tmp_path, capsys, monkeypatch):
-    # the machine JSON is formatted only in the modes that write it
+    # the machine JSON is formatted only in the modes that write it: one
+    # whole document per mode, counted at the writer's top level (its
+    # nested calls pass an indent)
     cfg = write_config(tmp_path, A2_FUNDSERIES)
-    dumps = json.dumps
+    write = cli._json
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return dumps(*args, **kwargs)
+    def counted(value, *indent):
+        if not indent:
+            calls.append(value)
+        return write(value, *indent)
 
-    monkeypatch.setattr("redpair.cli.json.dumps", counted)
+    monkeypatch.setattr(cli, "_json", counted)
     out, made = {}, {}
     for mode in ("human", "machine", "both"):
         before = len(calls)

@@ -5,6 +5,7 @@ pairs re-entered as explicit embedding data against the Levi pairs."""
 import dataclasses
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ import pytest
 
 import pair_oracle
 from kernel_oracle import identity
-from redpair.cli import main
+from redpair.cli import _pair_doc, _ser, main
+from redpair.genericity import sl2_threshold
 from redpair.reductive import (
     ReductivePair,
     make_cartan_pair,
@@ -21,11 +23,13 @@ from redpair.reductive import (
     make_sl2_pair,
 )
 from redpair.rootsystem import build_root_system
-from redpair.weights import vec
+from redpair.weights import to_integers, vec
 
 LEVI_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
               "A1xA1"]
 SL2_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C4", "D4", "G2"]
+# the higher-rank types of the benchmark's sl2 jobs, on a few mark vectors each
+SL2_LARGE_TYPES = ["C6", "D6", "E6", "E7", "E8"]
 # torus pairs (no k roots) with non-identity restrictions of rank 2 and 3
 TORUS_PAIRS = [("A3", [[1, 0, 1], [0, 1, 0]]), ("B3", [[1, 1, 0], [0, 1, 2]]),
                ("G2", [["1/2", 0], [1, 3]]), ("C3", [[2, 1, 0], [0, 0, 1]]),
@@ -68,6 +72,55 @@ def test_sl2_pairs_match_the_oracle(name):
         if any(labels):
             assert_same_pair(make_sl2_pair(g, list(labels)),
                              pair_oracle.make_sl2_pair(g, list(labels)))
+
+
+def fraction_threshold(p):
+    """The rank-one threshold as a Fraction sum over the restricted weights."""
+    return math.floor(sum((abs(r[0]) for r in p.restricted_positive), Fraction(0)) / 2)
+
+
+def _marks(rank):
+    return [[2] * rank, [1] * rank, [2] + [0] * (rank - 1), [0] * (rank - 1) + [2],
+            [1] + [0] * (rank - 2) + [2], [0, 1] * (rank // 2) + [1] * (rank % 2)]
+
+
+@pytest.mark.parametrize("name", SL2_LARGE_TYPES)
+def test_sl2_pairs_of_higher_rank_match_the_oracle(name):
+    g = build_root_system(name)
+    for labels in _marks(g.rank):
+        p = make_sl2_pair(g, labels)
+        assert_same_pair(p, pair_oracle.make_sl2_pair(g, labels))
+        assert sl2_threshold(p) == fraction_threshold(p)
+
+
+# rank-one restrictions with fractional entries, so that the restricted
+# roots are int rows over a denominator D > 1
+RANK_ONE_RESTRICTIONS = [("A2", [["1/2", 1]]), ("A3", [["1/2", 1, 0]]),
+                         ("B3", [["1/3", "2/3", 1]]), ("C3", [[1, "3/2", "-1/4"]]),
+                         ("G2", [["5/6", "1/2"]]), ("D4", [["1/2", 0, "1/2", "-3/2"]]),
+                         ("E6", [["1/2", 1, 0, "3/2", 0, 1]])]
+
+
+@pytest.mark.parametrize("name, restriction", RANK_ONE_RESTRICTIONS,
+                         ids=[name for name, _ in RANK_ONE_RESTRICTIONS])
+def test_rank_one_explicit_pairs_match_the_oracle_and_the_threshold(name, restriction):
+    g = build_root_system(name)
+    p = make_explicit_pair(g, restriction, [], [])
+    assert_same_pair(p, pair_oracle.make_explicit_pair(g, restriction, [], []))
+    assert to_integers(p.restriction)[1] > 1
+    assert sl2_threshold(p) == fraction_threshold(p)
+
+
+def test_delta_t_is_printed_in_fraction_order():
+    # the document orders delta_t by its int rows; that is the order of
+    # the Fraction weights
+    pairs = [make_explicit_pair(build_root_system(name), restriction, [], [])
+             for name, restriction in TORUS_PAIRS + RANK_ONE_RESTRICTIONS]
+    for name in LEVI_TYPES:
+        g = build_root_system(name)
+        pairs += [make_levi_pair(g, nodes) for nodes in levi_subsets(g)]
+    for p in pairs:
+        assert _pair_doc(p)["delta_t"] == _ser(sorted(p.delta_t))
 
 
 def test_explicit_pairs_match_the_oracle():
