@@ -6,7 +6,9 @@ nonzero denominator, like ``5`` or ``3/2``, and bracketed arrays, nested
 once for matrices and refused deeper, with no empty element, a trailing
 comma included; decimals, exponents and underscores are rejected so that
 exactness survives the I/O boundary).  ``KEYS`` gives the shape of every
-key, and a key that the job's verb and ``k`` kind do not read is refused.
+key.  ``check_job`` alone refuses a job's text, before any root system is
+built: a key that its verb and ``k`` kind do not read, a missing key, and
+a weight whose length does not fit the ranks read off the type's name.
 The verb and the ``--cutoff`` and ``--max-weyl`` flags are values of the
 keys ``command``, ``cutoff`` and ``max_weyl``, read in the same grammar
 and to the same shape; a flag wins over its key, which is still parsed,
@@ -47,7 +49,7 @@ from .reductive import (
     make_levi_pair,
     make_sl2_pair,
 )
-from .rootsystem import CapExceeded, build_root_system, refuse_weyl_order
+from .rootsystem import CapExceeded, LieType, build_root_system, refuse_weyl_order
 from .weights import Weight, WeightMultiset, add, neg, scale, to_integers
 
 EXIT_OK = 0
@@ -179,6 +181,12 @@ def _word(*choices: str):
     return lambda value, key: one_of(_WORD(value, key), key)
 
 
+def _weyl_cap(value, key: str) -> int:
+    if (cap := _INTEGER(value, key)) < 1:
+        raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
+    return cap
+
+
 _JOB_KEYS = ("lie_type", "k", "command", "max_weyl")   # read by every job
 _TABLE_KEYS = ("nu", "nu_basis", "lambda", "cutoff")
 VERB_KEYS = {"pair-info": (), "parabolic": ("lambda", "mu"), "generic-check": ("mu",),
@@ -186,20 +194,23 @@ VERB_KEYS = {"pair-info": (), "parabolic": ("lambda", "mu"), "generic-check": ("
 KIND_KEYS = {"sl2": ("labels",), "cartan": (), "levi": ("nodes",),
              "explicit": ("restriction", "k_simple_roots", "k_coroots")}
 COMMANDS = tuple(VERB_KEYS)
+_REQUIRED = {"generic-check": ("mu",), "fundseries": ("nu",), "verify": ("nu",)}
 
 KEYS = {
     "lie_type": _WORD, "k": _word(*KIND_KEYS), "labels": _INTEGERS, "nodes": _INTEGERS,
     "restriction": _MATRIX, "k_simple_roots": _MATRIX, "k_coroots": _MATRIX,
     "command": _word(*COMMANDS), "mu": _WEIGHT, "lambda": _WEIGHT, "nu": _WEIGHT,
     "nu_basis": _word("simple", "fundamental"),
-    "cutoff": _shape("a rational", lambda v: isinstance(v, Fraction)), "max_weyl": _INTEGER,
+    "cutoff": _shape("a rational", lambda v: isinstance(v, Fraction)), "max_weyl": _weyl_cap,
 }
 CONFIG_KEYS = tuple(KEYS)
 
 
 def check_job(job: dict, command: str | None) -> tuple[dict, str]:
-    """Parse every key of a read config to its shape and resolve the verb;
-    a key that the verb and the k kind do not read is refused."""
+    """Parse every key of a read config to its shape, resolve the verb and
+    make every refusal of the job's text, all before any root system is
+    built: a key that the verb and the k kind do not read, a missing key,
+    and a weight whose length does not fit the ranks read off lie_type."""
     for key in job:
         if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -214,31 +225,41 @@ def check_job(job: dict, command: str | None) -> tuple[dict, str]:
     for key in job:
         if key not in read:
             raise ConfigError(f"config key {key!r} is not read by {command} with k = {kind}")
+    for key in ("lie_type", *KIND_KEYS[kind], *_REQUIRED.get(command, ())):
+        _require(job, key)
+    if command == "parabolic" and ("lambda" in job) == ("mu" in job):
+        raise ConfigError("the parabolic command needs exactly one of 'lambda' and 'mu'")
+    if isinstance(nu := job.get("nu"), Fraction) and "nu_basis" in job:
+        raise ConfigError("config key 'nu_basis' is not read with a scalar nu")
+    rank_g = LieType.parse(job["lie_type"]).rank   # a ValueError, exit 3; no root is built
+    rank_t = 1 if kind == "sl2" else len(job["restriction"]) if kind == "explicit" else rank_g
+    if isinstance(nu, Fraction) and rank_t != 1:
+        raise ConfigError("scalar nu needs a rank-one small side")
+    if isinstance(nu, list) and len(nu) != rank_g:
+        raise ConfigError(f"nu must have {rank_g} coordinates")
+    for key in ("mu", "lambda"):   # parabolic reads one of them, the other verbs at most one
+        if isinstance(job.get(key), Fraction) and rank_t != 1:
+            raise ConfigError(f"{key!r} was a scalar but the small side has rank {rank_t}")
+        if isinstance(job.get(key), list) and len(job[key]) != rank_t:
+            raise ConfigError(f"{key!r} must have {rank_t} coordinates")
     return job, command
 
 
 def build_pair(job: dict) -> ReductivePair:
-    g = build_root_system(_require(job, "lie_type"))
+    g = build_root_system(job["lie_type"])
     kind = job["k"]
     if kind == "sl2":
-        return make_sl2_pair(g, _require(job, "labels"))
+        return make_sl2_pair(g, job["labels"])
     if kind == "levi":
-        return make_levi_pair(g, set(_require(job, "nodes")))
+        return make_levi_pair(g, set(job["nodes"]))
     if kind == "explicit":
-        return make_explicit_pair(g, _require(job, "restriction"),
-                                  _require(job, "k_simple_roots"), _require(job, "k_coroots"))
+        return make_explicit_pair(g, job["restriction"], job["k_simple_roots"], job["k_coroots"])
     return make_cartan_pair(g)
 
 
-def _as_tweight(value, p: ReductivePair, key: str) -> Weight:
+def _as_tweight(value) -> Weight:
     """A small-side weight: a coordinate array, or a scalar when rank 1."""
-    if isinstance(value, Fraction):
-        if p.rank_t != 1:
-            raise ConfigError(f"{key!r} was a scalar but the small side has rank {p.rank_t}")
-        return (value,)
-    if len(value) != p.rank_t:
-        raise ConfigError(f"{key!r} must have {p.rank_t} coordinates")
-    return tuple(value)
+    return (value,) if isinstance(value, Fraction) else tuple(value)
 
 
 def _as_gweight(value, p: ReductivePair, basis: str | None) -> Weight:
@@ -246,13 +267,7 @@ def _as_gweight(value, p: ReductivePair, basis: str | None) -> Weight:
     scalar is read as the restriction value of a rank-one small side and
     lifted orthogonally, and takes no basis."""
     if isinstance(value, Fraction):
-        if p.rank_t != 1:
-            raise ConfigError("scalar nu needs a rank-one small side")
-        if basis is not None:
-            raise ConfigError("config key 'nu_basis' is not read with a scalar nu")
         return p.lift_weight((value,))
-    if len(value) != p.g.rank:
-        raise ConfigError(f"nu must have {p.g.rank} coordinates")
     return p.g.from_fundamental(tuple(value)) if basis == "fundamental" else tuple(value)
 
 
@@ -331,7 +346,7 @@ def _parabolic_doc(p: ReductivePair, parab: CompatibleParabolic) -> dict:
         "ch_t_n_cap_k": _ser(parab.ch_t_n_cap_k),
         "ch_t_n_cap_kperp": _ser(parab.ch_t_n_cap_kperp),
         "n_roots": _ser(sorted(parab.n_roots)),
-        "m_positive_roots": _ser(sorted(parab.m_positive_roots())),
+        "m_positive_roots": _ser(parab.m_positive_roots()),   # sorted already
     }
 
 
@@ -373,13 +388,10 @@ def _table_doc(table: MultiplicityTable) -> dict:
 
 def run_job(job: dict, command: str) -> dict:
     p = build_pair(job)
-    cap = job.get("max_weyl")
-    if cap is not None:
-        if cap < 1:
-            raise ConfigError(f"the Weyl group cap must be at least 1, got {cap}")
+    if "max_weyl" in job:
         # guard: refuse jobs whose small Weyl group is larger than the cap,
         # its order read off the k-root heights without enumerating it
-        refuse_weyl_order(p.k_weyl_order, cap)
+        refuse_weyl_order(p.k_weyl_order, job["max_weyl"])
     doc: dict = {"job": {"lie_type": job["lie_type"], "k": job["k"], "command": command}}
 
     if command == "pair-info":
@@ -387,15 +399,13 @@ def run_job(job: dict, command: str) -> dict:
         return doc
 
     if command == "parabolic":
-        if ("lambda" in job) == ("mu" in job):
-            raise ConfigError("the parabolic command needs exactly one of 'lambda' and 'mu'")
-        lam = (_as_tweight(job["lambda"], p, "lambda") if "lambda" in job
-               else add(_as_tweight(job["mu"], p, "mu"), scale(2, p.rho)))
+        lam = (_as_tweight(job["lambda"]) if "lambda" in job
+               else add(_as_tweight(job["mu"]), scale(2, p.rho)))
         doc["parabolic"] = _parabolic_doc(p, compatible_parabolic(p, lam))
         return doc
 
     if command == "generic-check":
-        mu = _as_tweight(_require(job, "mu"), p, "mu")
+        mu = _as_tweight(job["mu"])
         doc["genericity"] = _genericity_doc(is_generic(p, mu), mu)
         return doc
 
@@ -408,8 +418,8 @@ def run_job(job: dict, command: str) -> dict:
         return doc
 
     # fundseries or verify
-    nu = _as_gweight(_require(job, "nu"), p, job.get("nu_basis"))
-    lam = _as_tweight(job["lambda"], p, "lambda") if "lambda" in job else None
+    nu = _as_gweight(job["nu"], p, job.get("nu_basis"))
+    lam = _as_tweight(job["lambda"]) if "lambda" in job else None
     parab, e = series_parabolic(p, nu, lam)
     cutoff = job.get("cutoff")
     if cutoff is None:

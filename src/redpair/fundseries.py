@@ -66,23 +66,16 @@ class InducingModule:
     mu: Weight
 
 
-def _m_simple_roots(m_positive: tuple[Weight, ...]) -> list[Weight]:
-    roots = set(m_positive)
-    simple = []
-    for gamma in m_positive:
-        if any(sub(gamma, other) in roots for other in m_positive if other != gamma):
-            continue
-        simple.append(gamma)
-    return simple
-
-
 def inducing_module(p: ReductivePair, parab: CompatibleParabolic,
                     nu: Weight) -> InducingModule:
-    """Validate nu against the reductive part and package the inducing data."""
+    """Validate nu against the reductive part and package the inducing data.
+    The first positive m-root that nu fails is m-simple: a failing gamma has
+    one in its support (gamma-coroot is an N-combination of m-simple
+    coroots), which sorts no later, as gamma minus it is nonnegative."""
     if len(nu) != p.g.rank:
         raise ValueError(f"nu must have rank {p.g.rank}")
     m_positive = parab.m_positive_roots()
-    for gamma in _m_simple_roots(m_positive):
+    for gamma in m_positive:
         c = 2 * p.g.pair(nu, gamma) / p.g.pair(gamma, gamma)
         if c.denominator != 1 or c < 0:
             raise ValueError(
@@ -107,19 +100,18 @@ def series_parabolic(p: ReductivePair, nu: Weight,
     omega = p.restrict(nu)
     if lam is None:
         lam = p.restrict(p.g.rho_tilde)
+    # the seed's regularity first: an irregular seed may fail the split's embedding check
+    parab = compatible_parabolic(p, lam) if is_regular(p, lam) else None
     for _ in range(p.g.rank + 3):
-        if not is_regular(p, lam):
+        if parab is None or not parab.minimal:
             raise ValueError(
                 f"the chamber weight {fmt(lam)} is irregular; give a regular "
                 f"'lambda' in the config"
             )
-        parab = compatible_parabolic(p, lam)
-        mu = add(omega, scale(2, parab.rho_n_perp))
-        lam_next = add(mu, scale(2, p.rho))
-        parab_next = compatible_parabolic(p, lam_next)
-        if frozenset(parab_next.n_roots) == frozenset(parab.n_roots):
-            return parab_next, inducing_module(p, parab_next, nu)
-        lam = lam_next
+        lam = add(add(omega, scale(2, parab.rho_n_perp)), scale(2, p.rho))
+        parab, seen = compatible_parabolic(p, lam), parab.n_roots   # one split per weight
+        if parab.n_roots == seen:   # both follow g.positive_roots
+            return parab, inducing_module(p, parab, nu)
     raise ValueError(
         "no compatible parabolic is consistent with this inducing weight; "
         "the chamber iteration did not stabilize"

@@ -10,10 +10,6 @@ from .weights import to_integers
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def dot(u, v):
     """The sum of the products of the entries of u and v, ints or Fractions."""
     return sum(map(operator.mul, u, v))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, dot, mat_vec, solve, to_integers, transpose
+from .linalg import Matrix, dot, mat_vec, solve, to_integers
 from .rootsystem import (
     RootSystem,
     WeylElement,
@@ -191,7 +191,7 @@ def _k_side(k_simple: tuple[Weight, ...], functionals: tuple[tuple[Fraction, ...
     therefore keep the order they have among the roots of g.
     """
     closure = _root_closure(_k_cartan(k_simple, functionals), max_roots=max_roots)
-    _, k_positive = _images(*to_integers(transpose(k_simple)), closure)
+    _, k_positive = _images(*to_integers(list(zip(*k_simple))), closure)
     rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
     return k_positive, rho, weyl_group_order(closure)
 

@@ -8,10 +8,14 @@ import math
 from fractions import Fraction
 
 import kernel_oracle
-from redpair.linalg import Matrix, to_integers, transpose
+from redpair.linalg import Matrix, to_integers
 from redpair.reductive import ReductivePair
 from redpair.rootsystem import RootSystem, enumerate_reflection_group
 from redpair.weights import FractionTable, Weight, WeightMultiset, fmt, weight, zero
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a)) if a else ()
 
 
 def _orthogonal_section(g: RootSystem, restriction: Matrix) -> tuple[Matrix, Matrix]:

@@ -12,9 +12,13 @@ from __future__ import annotations
 import math
 import operator
 
-from redpair.linalg import mat_vec, transpose
+from redpair.linalg import mat_vec
 from redpair.reductive import ReductivePair
 from redpair.weights import Weight, WeightMultiset, fmt, sub, to_integers
+
+
+def transpose(a):
+    return tuple(zip(*a)) if a else ()
 
 
 class PartitionCounter:

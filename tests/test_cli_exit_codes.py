@@ -1,13 +1,16 @@
 """Property test of the CLI's exit codes: a valid job with one key
-replaced, dropped or added ends in 0, 2, 3 or 4, and a failure is reported
-on one line of stderr with its values written as rationals."""
+replaced, dropped or added ends in 0, 2, 3 or 4, a failure is reported
+on one line of stderr with its values written as rationals, and a parse
+error (exit 2) is made before any root system is built."""
 
 import contextlib
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from redpair import cli
 from redpair.cli import COMMANDS, CONFIG_KEYS, main
 
 # (config, cutoff flag): one valid job per verb, over A1, A2, B2, G2, A1xA1;
@@ -49,17 +52,19 @@ def config_path(tmp_path_factory):
 
 def test_templates_succeed(config_path):
     for job, cutoff in TEMPLATES:
-        code, _, err = run(config_path, job, cutoff)
-        assert code == 0, err
+        code, _, err, built = run(config_path, job, cutoff)
+        assert code == 0 and built, err
 
 
-def run(path, job, cutoff):
+def run(path, job, cutoff, flags=("--max-weyl", "100")):
+    """Exit code, stdout and stderr of one job, and whether it built a root system."""
     path.write_text("".join(f"{k} = {v}\n" for k, v in job.items()), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--config", str(path), "--max-weyl", "100", "--emit", "machine"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(
+            cli, "build_root_system", wraps=cli.build_root_system) as spy:
+        code = main(["--config", str(path), *flags, "--emit", "machine"]
                     + (["--cutoff", cutoff] if cutoff is not None else []))
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), spy.called
 
 
 @settings(max_examples=400, derandomize=True, deadline=None,
@@ -78,10 +83,35 @@ def test_one_key_edit_ends_in_a_documented_exit_code(config_path, template, edit
             del job[chosen]
         else:
             job[chosen] = value
-    code, out, err = run(config_path, job, cutoff)
+    code, out, err, built = run(config_path, job, cutoff)
     event(f"exit {code}")
     assert code in (0, 2, 3, 4), err
+    assert not (code == 2 and built), err   # a parse error builds nothing
     if code != 0:
         assert out == ""
         assert err.endswith("\n") and "\n" not in err[:-1], err
         assert "Fraction(" not in err, err
+
+
+A2_MARKS_23 = {"lie_type": "A2", "k": "sl2", "labels": "[2, 3]"}
+
+
+@pytest.mark.parametrize("job, message", [
+    ({"lie_type": "A20", "k": "cartan", "command": "pair-info", "max_weyl": "0"},
+     "the Weyl group cap must be at least 1, got 0"),
+    ({"lie_type": "A20", "k": "sl2", "command": "pair-info"},
+     "missing required config key 'labels'"),
+    ({**A2_MARKS_23, "command": "generic-check"}, "missing required config key 'mu'"),
+    ({**A2_MARKS_23, "command": "parabolic", "mu": "1", "lambda": "1"},
+     "the parabolic command needs exactly one of 'lambda' and 'mu'"),
+    ({**A2_MARKS_23, "command": "fundseries", "nu": "1", "nu_basis": "simple"},
+     "config key 'nu_basis' is not read with a scalar nu"),
+    ({"lie_type": "A20", "k": "cartan", "command": "generic-check", "mu": "[1, 2]"},
+     "'mu' must have 20 coordinates"),
+], ids=["cap-floor", "labels", "mu", "lambda-and-mu", "nu-basis", "mu-length"])
+def test_a_config_fault_is_refused_before_an_oversized_type_or_a_bad_mark(
+        config_path, job, message):
+    # A20 is over the root cap (exit 4) and the mark 3 is invalid (exit 3),
+    # but the config fault next to each is found first, from the text alone
+    code, out, err, built = run(config_path, job, None, flags=())
+    assert (code, out, err, built) == (2, "", f"parse error: {message}\n", False)

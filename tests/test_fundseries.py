@@ -11,6 +11,7 @@ from redpair.fundseries import (
     kostant_weights,
     kostant_terms,
     ktype_table,
+    series_parabolic,
     verify_minimal_ktype,
 )
 from redpair.genericity import norm2_shifted
@@ -351,3 +352,29 @@ def test_verify_reports_failure_for_nongeneric_input():
     table = ktype_table(p, parab, e, norm2_shifted(p, vec(12)))
     report = verify_minimal_ktype(table, e, p)
     assert report.minimal_entry_ok in (True, False)  # reported, not assumed
+
+
+@pytest.mark.parametrize("lie, k, nu", [
+    ("A2", [2, 2], -3), ("B3", {1, 2}, None), ("C3", {2, 3}, None), ("G2", {1}, None),
+], ids=["A2-sl2-22", "B3-levi-12", "C3-levi-23", "G2-levi-1"])
+def test_kostant_sum_alternates_under_the_k_weyl_group(lie, k, nu):
+    # for every u in W_k, dim E sum_v (-1)^l(v) P(v(u(delta + rho)) - rho - mu)
+    # is (-1)^l(u) times the Euler multiplicity of delta, on the six largest
+    # entries of a table (by multiplicity, then by norm); nu = 0 on a Levi pair
+    g = build_root_system(lie)
+    p = make_sl2_pair(g, k) if isinstance(k, list) else make_levi_pair(g, k)
+    parab, e = series_parabolic(p, zero(g.rank) if nu is None else p.lift_weight(vec(nu)))
+    table = ktype_table(p, parab, e, norm2_shifted(p, e.mu) + 40)
+    largest = sorted(table.entries, key=lambda d: (table.entries[d], table.norms[d]))[-6:]
+    assert len(largest) == 6
+    counter = PartitionCounter(p, parab.ch_t_n_cap_kperp, parab.lam)
+    group = p.k_weyl_group()
+    assert len(group) == p.k_weyl_order
+    for delta in largest:
+        euler = euler_multiplicity(p, parab, e, delta)
+        assert euler == table.entries[delta]
+        for u in group:
+            moved = u.apply(add(delta, p.rho))
+            counts = counter.counts([sub(sub(v.apply(moved), p.rho), e.mu) for v in group])
+            total = e.dim_e * sum((-1) ** v.length * c for v, c in zip(group, counts))
+            assert total == (-1) ** u.length * euler, (delta, u.word)
