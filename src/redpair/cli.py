@@ -8,7 +8,7 @@ comma included; decimals, exponents and underscores are rejected so that
 exactness survives the I/O boundary).  ``KEYS`` gives the shape of every
 key.  ``check_job`` alone refuses a job's text, before any root system is
 built: a key that its verb and ``k`` kind do not read, a missing key, and
-a weight whose length does not fit the ranks read off the type's name.
+a weight or k data whose size does not fit the ranks read off its type.
 The verb and the ``--cutoff`` and ``--max-weyl`` flags are values of the
 keys ``command``, ``cutoff`` and ``max_weyl``, read in the same grammar
 and to the same shape; a flag wins over its key, which is still parsed,
@@ -44,13 +44,14 @@ from .genericity import GenericityReport, is_generic, norm2_shifted, sl2_thresho
 from .parabolic import CompatibleParabolic, compatible_parabolic
 from .reductive import (
     ReductivePair,
+    check_sizes,
     make_cartan_pair,
     make_explicit_pair,
     make_levi_pair,
     make_sl2_pair,
 )
 from .rootsystem import CapExceeded, LieType, build_root_system, refuse_weyl_order
-from .weights import Weight, WeightMultiset, add, neg, scale, to_integers
+from .weights import Weight, WeightMultiset, add, neg, scale
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -210,7 +211,7 @@ def check_job(job: dict, command: str | None) -> tuple[dict, str]:
     """Parse every key of a read config to its shape, resolve the verb and
     make every refusal of the job's text, all before any root system is
     built: a key that the verb and the k kind do not read, a missing key,
-    and a weight whose length does not fit the ranks read off lie_type."""
+    and a weight or k data whose size does not fit the ranks read off lie_type."""
     for key in job:
         if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -242,6 +243,11 @@ def check_job(job: dict, command: str | None) -> tuple[dict, str]:
             raise ConfigError(f"{key!r} was a scalar but the small side has rank {rank_t}")
         if isinstance(job.get(key), list) and len(job[key]) != rank_t:
             raise ConfigError(f"{key!r} must have {rank_t} coordinates")
+    try:   # the factories' checks of the k data's sizes, from the text
+        check_sizes(rank_g, job.get("labels"), set(job.get("nodes", ())),
+                    job.get("restriction"), job.get("k_simple_roots"), job.get("k_coroots"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return job, command
 
 
@@ -285,8 +291,10 @@ def _ser(value):
         return value
     if isinstance(value, (tuple, list)):
         return [_ser(v) for v in value]
-    if isinstance(value, WeightMultiset):
-        return [{"weight": _ser(w), "mult": m} for w, m in value.items()]
+    if isinstance(value, WeightMultiset):   # by int row: D > 0 keeps the order
+        rows, den = value.integers
+        names = {a: str(Fraction(a, den)) for a in set().union(*rows)}
+        return [{"weight": [names[a] for a in row], "mult": m} for row, m in sorted(rows.items())]
     if isinstance(value, dict):
         return {k: _ser(v) for k, v in value.items()}
     raise TypeError(f"cannot serialize {value!r}")
@@ -319,8 +327,7 @@ def _fmt(value) -> str:
 def _pair_doc(p: ReductivePair) -> dict:
     # delta_t in the order of its int rows, its weights times one positive scale
     delta_t = sorted({x for r in p.restricted_integers if any(r) for x in (r, neg(r))})
-    den = to_integers(p.restriction)[1]
-    names = {a: str(Fraction(a, den)) for a in set().union(*delta_t)}
+    names = {a: str(Fraction(a, p.restriction_integers[1])) for a in set().union(*delta_t)}
     return {
         "embedding": p.embedding_kind,
         "rank_g": p.g.rank,
@@ -345,8 +352,8 @@ def _parabolic_doc(p: ReductivePair, parab: CompatibleParabolic) -> dict:
         "ch_t_n": _ser(parab.ch_t_n),
         "ch_t_n_cap_k": _ser(parab.ch_t_n_cap_k),
         "ch_t_n_cap_kperp": _ser(parab.ch_t_n_cap_kperp),
-        "n_roots": _ser(sorted(parab.n_roots)),
-        "m_positive_roots": _ser(parab.m_positive_roots()),   # sorted already
+        "n_roots": _ser(sorted(parab.n_roots, key=lambda r: [c.numerator for c in r])),
+        "m_positive_roots": _ser(parab.m_positive_roots()),
     }
 
 
@@ -371,13 +378,9 @@ def _table_doc(table: MultiplicityTable) -> dict:
         "cutoff": _ser(table.cutoff),
         "mu": _ser(table.mu),
         "dim_e": table.dim_e,
-        "entries": [
-            {
-                "delta": _ser(delta),
-                "mult": mult,
-                "norm2_shifted": _ser(table.norms[delta]),
-            }
-            for delta, mult in table.sorted_entries()
+        "entries": [   # in sorted_entries() order, as ktype_table inserts them
+            {"delta": _ser(delta), "mult": mult, "norm2_shifted": _ser(norm)}
+            for (delta, mult), norm in zip(table.entries.items(), table.norms.values())
         ],
     }
 

@@ -6,34 +6,27 @@ positive k-root nilradical acting on a k-type (Kostant: weights
 w(delta + rho) - rho, one per Weyl element, in degree length(w), read
 off the Weyl orbit of the strictly dominant delta + rho, so no group is
 built), the symmetric algebra on n cap k-perp (a vector partition
-function), and the inducing module, which for a minimal parabolic
-enters only through its dimension and the scalar by which the small
-Cartan acts.  The partition function counts in integer coordinates,
-scaled by the least common denominator D of its generators' coordinates;
-a target that is not integral after scaling by D counts 0.  Every count,
-of the terms of one delta or of a whole table, comes from one walk and
-one sweep (``_walk``, ``_sweep``), and the walk skips the points that can
-carry no answer: a count walks down only inside the orthant of the
-generators, and a table walks up only to points that can still reach
-its ball.  Grouping the terms by degree i gives
+function, counted in ints by ``PartitionCounter``), and the inducing
+module, which for a minimal parabolic enters only through its dimension
+and the scalar by which the small Cartan acts.  Grouping the terms by
+degree i gives
 
     kostant_terms[i] = dim E * sum_{len(w) = i} count(w(delta+rho) - rho - mu)
 
 with mu = omega + 2 rho_n_perp.  Their alternating sum is the Euler
 characteristic of the series against V(delta); under genericity the
 series lives in a single degree, making the sum an honest multiplicity,
-and each term bounds the multiplicity in degree s - i.
-
-A whole table reads the same sum the other way round (Brauer-Klimyk):
-``ktype_table`` folds every lattice point mu + rho + x of the cutoff
-ball, carrying its partition count, to the dominant chamber with the
-sign of the fold.  The ball holds every term of every delta in the
-table, and a point that folds onto a wall belongs to no delta, so the
-signed sums are the Euler characteristics exactly, with no Weyl group
-walked and one partition sweep for all points.
+and each term bounds the multiplicity in degree s - i.  ``ktype_table``
+reads the same sums the other way round (Brauer-Klimyk), by one signed
+fold of the partition counts of a ball.  Every count, of the terms of
+one delta or of a whole table, comes from one walk and one sweep
+(``_walk``, ``_sweep``), and the walk skips the points that can carry no
+answer.
 
 The chamber of the series, the minimal parabolic consistent with the
-inducing weight, is resolved by ``series_parabolic``.
+inducing weight, is resolved by ``series_parabolic``, one root split per
+chamber weight.  It, the inducing module, the table's set-up and the
+central character's fold run on int rows.
 """
 
 from __future__ import annotations
@@ -47,12 +40,12 @@ from typing import Callable
 
 from .genericity import norm2_shifted
 from .linalg import dot
-from .parabolic import CompatibleParabolic, _grading, compatible_parabolic, is_regular
+from .parabolic import (CompatibleParabolic, _grading, _n_cap_kperp, compatible_parabolic,
+                        split_roots)
 from .reductive import ReductivePair
-from .rootsystem import (CapExceeded, RootSystem, fold_dominant, reflection_orbit,
-                         refuse_weyl_order, weyl_dim_from_roots)
-from .weights import (FractionTable, Weight, WeightMultiset, add, fmt, scale, sub,
-                      to_integers)
+from .rootsystem import (CapExceeded, RootSystem, reflection_orbit, refuse_weyl_order,
+                         weyl_dim_from_roots)
+from .weights import FractionTable, Weight, WeightMultiset, add, fmt, scale, sub, to_integers
 
 
 @dataclass(frozen=True)
@@ -68,24 +61,25 @@ class InducingModule:
 
 def inducing_module(p: ReductivePair, parab: CompatibleParabolic,
                     nu: Weight) -> InducingModule:
-    """Validate nu against the reductive part and package the inducing data.
-    The first positive m-root that nu fails is m-simple: a failing gamma has
-    one in its support (gamma-coroot is an N-combination of m-simple
-    coroots), which sorts no later, as gamma minus it is nonnegative."""
+    """Validate nu against the reductive part and package the inducing data,
+    in ints on the type's Gram matrix.  The first positive m-root that nu
+    fails is m-simple: a failing gamma has one in its support (gamma-coroot
+    is an N-combination of m-simple coroots), which sorts no later, as
+    gamma minus it is nonnegative."""
     if len(nu) != p.g.rank:
         raise ValueError(f"nu must have rank {p.g.rank}")
-    m_positive = parab.m_positive_roots()
-    for gamma in m_positive:
-        c = 2 * p.g.pair(nu, gamma) / p.g.pair(gamma, gamma)
-        if c.denominator != 1 or c < 0:
-            raise ValueError(
-                f"nu is not dominant integral for the reductive part: "
-                f"coroot pairing {c} at {fmt(gamma)}"
-            )
-    dim_e = weyl_dim_from_roots(list(m_positive), p.g.pair, nu)
+    gram, m_positive = p.g.gram_integers[0], parab.m_positive_roots()
+    (nu_row,), d = to_integers([nu])
+    rows, _ = to_integers(m_positive)       # roots have int coordinates
+    for row, gamma in zip(rows, m_positive):
+        g_gamma = [dot(g, row) for g in gram]
+        pairing, norm = 2 * dot(nu_row, g_gamma), d * dot(row, g_gamma)
+        if pairing < 0 or pairing % norm:
+            raise ValueError("nu is not dominant integral for the reductive part: "
+                             f"coroot pairing {Fraction(pairing, norm)} at {fmt(gamma)}")
     omega = p.restrict(nu)
     mu = add(omega, scale(2, parab.rho_n_perp))
-    return InducingModule(nu=nu, omega=omega, dim_e=dim_e, mu=mu)
+    return InducingModule(nu, omega, weyl_dim_from_roots(p.g, rows, nu), mu)
 
 
 def series_parabolic(p: ReductivePair, nu: Weight,
@@ -94,24 +88,24 @@ def series_parabolic(p: ReductivePair, nu: Weight,
     the inducing module on it.
 
     The chamber must reproduce itself under lam = omega + 2 rho_n_perp
-    + 2 rho, with omega the restriction of nu.  The iteration is seeded
-    at the restricted Weyl vector unless lam pins a chamber.
+    + 2 rho = omega + 2 rho_n, with omega the restriction of nu, seeded at
+    the restricted Weyl vector unless lam pins a chamber.
     """
     omega = p.restrict(nu)
     if lam is None:
         lam = p.restrict(p.g.rho_tilde)
-    # the seed's regularity first: an irregular seed may fail the split's embedding check
-    parab = compatible_parabolic(p, lam) if is_regular(p, lam) else None
-    for _ in range(p.g.rank + 3):
-        if parab is None or not parab.minimal:
-            raise ValueError(
-                f"the chamber weight {fmt(lam)} is irregular; give a regular "
-                f"'lambda' in the config"
-            )
-        lam = add(add(omega, scale(2, parab.rho_n_perp)), scale(2, p.rho))
-        parab, seen = compatible_parabolic(p, lam), parab.n_roots   # one split per weight
-        if parab.n_roots == seen:   # both follow g.positive_roots
+    n_roots, _, ch_t_n = split_roots(p, lam)
+    for step in range(p.g.rank + 3):
+        if len(n_roots) != p.nonzero_restricted:
+            raise ValueError(f"the chamber weight {fmt(lam)} is irregular; give a regular "
+                             "'lambda' in the config")
+        if not step:        # the seed's embedding, after its regularity
+            _n_cap_kperp(p, ch_t_n)
+        lam = add(omega, scale(2, ch_t_n.half_sum()))
+        parab = compatible_parabolic(p, lam)        # one split per weight
+        if parab.n_roots == n_roots:    # both follow g.positive_roots
             return parab, inducing_module(p, parab, nu)
+        n_roots, ch_t_n = parab.n_roots, parab.ch_t_n
     raise ValueError(
         "no compatible parabolic is consistent with this inducing weight; "
         "the chamber iteration did not stabilize"
@@ -121,16 +115,17 @@ def series_parabolic(p: ReductivePair, nu: Weight,
 MAX_TABLE_POINTS = 1_000_000   # no partition walk covers more lattice points
 
 
-def _steps(generators: WeightMultiset, scaled, ell, grading: Weight) -> list[tuple]:
-    """(beta, ell . beta, multiplicity) for each support weight of the
-    generators, beta its int row in ``scaled``; every step must be positive."""
-    steps = []
-    for b, beta in zip(generators.support(), scaled):
+def _steps(generators: WeightMultiset, ell, grading: Weight, k: int = 1) -> list[tuple]:
+    """(beta, ell . beta, multiplicity) for each int row of the generators,
+    in weight order, beta k times the row; every step must be positive."""
+    steps, (rows, den) = [], generators.integers
+    for row, mult in sorted(rows.items()):
+        beta = tuple([k * c for c in row])
         step = dot(ell, beta)
         if step <= 0:
-            raise ValueError(f"generator {fmt(b)} does not pair strictly positively "
-                             f"with the grading weight {fmt(grading)}")
-        steps.append((beta, step, generators.entries[b]))
+            raise ValueError(f"generator {fmt([Fraction(c, den) for c in row])} does not "
+                             f"pair strictly positively with the grading weight {fmt(grading)}")
+        steps.append((beta, step, mult))
     return steps
 
 
@@ -139,26 +134,24 @@ def _walk(starts: dict[tuple[int, ...], int], low: int, high: int, steps, what: 
     """The points y + x with level in [low, high], y a key of ``starts``
     (with its level) and x an N-combination of the weights of ``steps``,
     with their levels, grown one weight at a time (the first ends[m] by
-    the first m + 1); refused past MAX_TABLE_POINTS.  A point y with
-    dead(y) is neither kept nor walked on from, so the walk holds every
-    point that some way from a start reaches, in pass order, through
-    points that are not dead."""
-    points = dict(starts)
+    the first m + 1); refused past MAX_TABLE_POINTS.  A point y = x +
+    beta_j, reached from x by step j, with dead(y, x, j) is neither kept
+    nor walked on from, so the walk holds every point that some way from a
+    start reaches, in pass order, through points that are not dead."""
+    points, ends = dict(starts), []
+    refused = CapExceeded(f"the {what} walk exceeds the cap of {MAX_TABLE_POINTS} lattice points")
     if len(points) > MAX_TABLE_POINTS:
-        raise CapExceeded(f"the {what} walk exceeds the cap of "
-                          f"{MAX_TABLE_POINTS} lattice points")
-    ends = []
-    for beta, step, _ in steps:
-        for y, level in list(points.items()):
-            y, level = tuple(map(operator.add, y, beta)), level + step
+        raise refused
+    for j, (beta, step, _) in enumerate(steps):
+        for x, level in list(points.items()):
+            y, level = tuple(map(operator.add, x, beta)), level + step
             # a point already present has had (or will have) its own walk
             while (low <= level <= high and y not in points
-                   and (dead is None or not dead(y))):
+                   and (dead is None or not dead(y, x, j))):
                 points[y] = level
                 if len(points) > MAX_TABLE_POINTS:
-                    raise CapExceeded(f"the {what} walk exceeds the cap of "
-                                      f"{MAX_TABLE_POINTS} lattice points")
-                y, level = tuple(map(operator.add, y, beta)), level + step
+                    raise refused
+                x, y, level = y, tuple(map(operator.add, y, beta)), level + step
         ends.append(len(points))
     return points, ends
 
@@ -183,8 +176,8 @@ def _sweep(points: dict[tuple[int, ...], int], origin: tuple[int, ...],
     return count
 
 
-def _orthant(scaled, ell) -> Callable[[tuple[int, ...]], bool] | None:
-    """dead(y): y lies outside a sign half-space {s y[i] >= 0} that holds
+def _orthant(scaled, ell) -> Callable | None:
+    """dead(y, x, j): y lies outside a sign half-space {s y[i] >= 0} that holds
     every generator beta of ``scaled``, so y and every point below it
     are no N-combination.  A half-space of a positive multiple of ell is
     left out, as level >= 0 holds it; None when no half-space is left."""
@@ -197,7 +190,7 @@ def _orthant(scaled, ell) -> Callable[[tuple[int, ...]], bool] | None:
     if not pos and not neg:
         return None
 
-    def dead(y: tuple[int, ...]) -> bool:
+    def dead(y: tuple[int, ...], x=None, j=None) -> bool:
         for i in pos:
             if y[i] < 0:
                 return True
@@ -219,8 +212,8 @@ class PartitionCounter:
     pair strictly positively with the grading weight, which bounds the
     walk.
 
-    Counting runs in integer coordinates.  The generators are scaled by
-    the least common denominator D of their coordinates, the level
+    Counting runs in integer coordinates.  The generators are their int
+    rows over one denominator D (``WeightMultiset.integers``), the level
     functional ell = t_gram . grading by its own denominator, and each
     generator carries its integer level step.  A target is scaled by D
     on entry; one that is then not integral is off the lattice of every
@@ -229,16 +222,13 @@ class PartitionCounter:
     up from 0 in reverse walk order: each way by generators m, m + 1, ...
     to a point that the first m + 1 reach stays among those points.
 
-    The walk keeps to the orthant of the generators: on a sign axis
-    (i, s) with s beta[i] >= 0 for every generator beta, a point y with
-    s y[i] < 0 is no N-combination, and neither is any point below it,
-    so it counts 0 and is not walked (a target there is not walked at
-    all).  This is exact, because every point on a way from 0 to a
-    target is an N-combination, hence inside the orthant, and at a level
-    between 0 and the target's; and the union of the targets' walks
+    The walk keeps to the orthant of the generators (``_orthant``): a
+    point outside it counts 0 and is not walked (a target there is not
+    walked at all).  This is exact, because every point on a way from 0
+    to a target is an N-combination, hence inside the orthant, and at a
+    level between 0 and the target's; and the union of the targets' walks
     holds each target's own walk, while every way it adds is still an
-    N-combination.  An axis on which s y[i] is a positive multiple of
-    the level is left out, since level >= 0 already holds it.
+    N-combination.
     """
 
     def __init__(self, p: ReductivePair, generators: WeightMultiset,
@@ -249,13 +239,12 @@ class PartitionCounter:
                              f"got rank {generators.rank}")
         self._check_rank(grading)
         self._ell, _ = _grading(p, grading)
-        scaled, self._scale = to_integers(generators.support())
+        self._scale = generators.integers[1]
         # largest step first; the sort is stable, so ties keep weight order
-        self._steps = sorted(_steps(generators, map(tuple, scaled), self._ell, grading),
-                             key=lambda g: -g[1])
+        self._steps = sorted(_steps(generators, self._ell, grading), key=lambda g: -g[1])
         self._down = [(tuple(-c for c in beta), -step, mult)
                       for beta, step, mult in self._steps]
-        self._dead = _orthant(scaled, self._ell)
+        self._dead = _orthant([beta for beta, _, _ in self._steps], self._ell)
 
     def _check_rank(self, x: Weight) -> None:
         if len(x) != self.rank:
@@ -342,7 +331,8 @@ def euler_multiplicity(p: ReductivePair, parab: CompatibleParabolic,
 @dataclass(frozen=True)
 class MultiplicityTable:
     """Nonzero k-type Euler multiplicities inside a shifted-norm ball,
-    with the shifted squared norm |delta + 2 rho|^2 of every entry."""
+    with the shifted squared norm |delta + 2 rho|^2 of every entry;
+    ``ktype_table`` inserts both in (norm, weight) order."""
 
     entries: dict[Weight, int]
     norms: dict[Weight, Fraction]
@@ -397,58 +387,61 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     either).  Every point of one z has the same norm, so such counts
     never reach an entry.
 
-    The walk, the counts and the fold run on int tuples: weights scaled
-    by D = lcm(denominators of mu + rho, rho and the support) times the
-    denominators of the k-simple roots and of the coroot functionals, so
-    that every reflection of an orbit point is an exact integer step.
-    The walk is refused past MAX_TABLE_POINTS points, and a small Weyl
-    group over MAX_WEYL elements before it starts.
+    Everything runs on int tuples, weights scaled by D = lcm(denominators
+    of mu + rho, rho and the generators' int rows) times the denominators
+    of the k-simple roots and of the coroot functionals, so that every
+    reflection of an orbit point is an exact integer step; |y|^2 is carried
+    along each ray of the walk, 2 <y, G beta> + |beta|^2 a step.  The walk
+    is refused past MAX_TABLE_POINTS points, and a small Weyl group over
+    MAX_WEYL elements before it starts.
     """
     _check_series_inputs(p, parab, e)
     cutoff = Fraction(cutoff)
-    minimum_norm = norm2_shifted(p, e.mu)
-    if cutoff < minimum_norm:
-        raise ValueError(
-            f"cutoff {cutoff} lies below the shifted norm {minimum_norm} of "
-            f"the minimal k-type, which the table must contain"
-        )
-    # the fold walks no group; without this check the E8 levi {1..8} table
-    # takes 0.2 s, but verify then runs past 40 s in the condition-2 search
-    refuse_weyl_order(p.k_weyl_order)
-    generators = parab.ch_t_n_cap_kperp
     sigmas, sig_den = to_integers(p.k_simple_roots)
     funs, fun_den = to_integers(p.k_coroot_functionals)
     q = sig_den * fun_den
-    rows, base = to_integers([add(e.mu, p.rho), p.rho, *generators.support()])
-    den = base * q
-    start, rho, *scaled = [tuple(q * c for c in row) for row in rows]
+    (mu_rho, rho), base = to_integers([add(e.mu, p.rho), p.rho])
+    generators = parab.ch_t_n_cap_kperp
+    den_r = generators.integers[1]             # of the generators' int rows
+    den = math.lcm(base, den_r) * q
+    start, rho = [tuple([den // base * c for c in row]) for row in (mu_rho, rho)]
     gram, gram_den = p.t_gram_integers
-    ell, ell_den = _grading(p, parab.lam)
+    ell, lam_row = _grading(p, parab.lam)
 
-    def norm2(y) -> int:        # |y / D|^2 times gram_den D^2
+    def norm2(y) -> int:        # |y / D|^2 times unit
         return dot(y, [dot(row, y) for row in gram])
 
-    # lam-level cap, level^2 <= |lam|^2 R (for an int level: level <= the
-    # isqrt of its floor), and ball |y|^2 <= R, in the same integer units
-    # as ell . y and norm2(y)
-    radius2 = cutoff - 3 * p.t_pair(p.rho, p.rho)
-    cap2 = p.t_pair(parab.lam, parab.lam) * radius2 * (ell_den * den) ** 2
-    ball = radius2 * gram_den * den * den
-    ball_num, ball_den = ball.numerator, ball.denominator
-    steps = _steps(generators, scaled, ell, parab.lam)
-    raised = [[dot(row, beta) for row in gram] for beta in scaled]
+    unit, cut, cut_den = gram_den * den * den, cutoff.numerator, cutoff.denominator
+    minimum_norm = norm2(tuple(map(operator.add, start, rho)))   # of mu + 2 rho
+    if cut * unit < minimum_norm * cut_den:
+        low = Fraction(minimum_norm, unit)
+        raise ValueError(f"cutoff {cutoff} lies below the shifted norm {low} of the minimal "
+                         "k-type, which the table must contain")
+    # the fold walks no group; without this check the E8 levi {1..8} table
+    # takes 0.2 s, but verify then runs past 40 s in the condition-2 search
+    refuse_weyl_order(p.k_weyl_order)
 
-    def dead(y) -> bool:        # outside the ball, and no weight lowers |y|^2
-        return norm2(y) * ball_den > ball_num and all(dot(y, g) >= 0 for g in raised)
+    # ball |y|^2 <= R = cutoff - 3 |rho|^2 as norm2(y) cut_den <= ball; lam-level
+    # cap level^2 <= |lam|^2 R, in the units of ell . y (ell . lam_row) ball / cut_den
+    ball = cut * unit - 3 * norm2(rho) * cut_den
+    steps = _steps(generators, ell, parab.lam, den // den_r)
+    raised = [[dot(row, beta) for row in gram] for beta, _, _ in steps]
+    beta2 = [dot(step[0], g) for step, g in zip(steps, raised)]   # |beta|^2
+    last = [start, norm2(start)]   # the point last tested, and its |y|^2
+
+    def dead(y, x, j) -> bool:  # outside the ball, and no weight lowers |y|^2
+        n = (last[1] if x is last[0] else norm2(x)) + 2 * dot(x, raised[j]) + beta2[j]
+        last[:] = y, n
+        return n * cut_den > ball and all(dot(y, g) >= 0 for g in raised)
 
     level = dot(ell, start)
-    points, ends = _walk({start: level}, level, math.isqrt(max(0, math.floor(cap2))),
+    points, ends = _walk({start: level}, level,
+                         math.isqrt(max(0, dot(ell, lam_row) * ball // cut_den)),
                          steps, "k-type table", dead)
     count = _sweep(points, start, zip(ends, steps))
     del points                  # before the fold
 
-    # the fold: y -> y - <y, sigma_i-coroot> sigma_i while a pairing is
-    # negative, the pairings c = fun_den D <y, sigma_j-coroot> carried along
+    # the fold, the pairings c = fun_den D <y, sigma_j-coroot> carried along
     cartan = [[dot(f, s) // q for f in funs] for s in sigmas]
     folded: dict[tuple[int, ...], int] = {}
     for y, n in count.items():
@@ -464,16 +457,17 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
                 break
         folded[y] = folded.get(y, 0) + n
 
-    fractions = FractionTable(den)
-    kept: list[tuple[Fraction, Weight, int]] = []
+    # keep z when |z|^2 <= cutoff and delta = z - rho is dominant integral: each
+    # fun_den D <delta, sigma_i-coroot> is >= 0 and a multiple of fun_den D
+    kept, fractions = [], FractionTable(den)
+    rho_c, whole = [dot(f, rho) for f in funs], fun_den * den
     for z, total in folded.items():
-        if not total:
-            continue
-        norm = Fraction(norm2(tuple(map(operator.add, z, rho))), gram_den * den * den)
-        delta = tuple([fractions[a - r] for a, r in zip(z, rho)])
-        if norm <= cutoff and p.dominance_defect(delta) is None:
-            kept.append((norm, delta, e.dim_e * total))
-    kept.sort()
+        norm = norm2(tuple(map(operator.add, z, rho)))
+        if total and norm * cut_den <= cut * unit and all(
+                (v := dot(f, z) - r) >= 0 and not v % whole for f, r in zip(funs, rho_c)):
+            kept.append((norm, tuple(map(operator.sub, z, rho)), e.dim_e * total))
+    kept = [(Fraction(n, unit), tuple(map(fractions.__getitem__, d)), m)
+            for n, d, m in sorted(kept)]
     return MultiplicityTable(entries={delta: mult for _, delta, mult in kept},
                              norms={delta: norm for norm, delta, _ in kept},
                              cutoff=cutoff, s=parab.s, r=parab.r, mu=e.mu, dim_e=e.dim_e)
@@ -481,8 +475,19 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
 
 def infinitesimal_character(rs: RootSystem, e: InducingModule) -> Weight:
     """The central character, labeled by the dominant point of the Weyl
-    orbit of nu + the ambient Weyl vector."""
-    return fold_dominant(add(e.nu, rs.rho_tilde), rs.simple_roots, rs.coroot_pairing)
+    orbit of nu + the ambient Weyl vector, folded in ints: x_i -= c_i while
+    a coroot pairing c_i is negative, c carried along by the Cartan rows."""
+    (x,), den = to_integers([add(e.nu, rs.rho_tilde)])
+    cartan, _ = to_integers(rs.cartan)
+    c = [dot(x, column) for column in zip(*cartan)]
+    while True:
+        for i, ci in enumerate(c):
+            if ci < 0:
+                x[i] -= ci
+                c = [a - ci * b for a, b in zip(c, cartan[i])]
+                break
+        else:
+            return tuple([Fraction(a, den) for a in x])
 
 
 @dataclass(frozen=True)
@@ -502,13 +507,8 @@ class MinimalKTypeReport:
 def verify_minimal_ktype(table: MultiplicityTable, e: InducingModule,
                          p: ReductivePair) -> MinimalKTypeReport:
     mu_norm = norm2_shifted(p, e.mu)
-    minimal_entry_ok = table.entries.get(e.mu) == e.dim_e
-    unique_minimum_ok = all(
-        norm > mu_norm for delta, norm in table.norms.items() if delta != e.mu
-    )
-    nonnegative_ok = all(v >= 0 for v in table.entries.values())
     return MinimalKTypeReport(
-        minimal_entry_ok=minimal_entry_ok,
-        unique_minimum_ok=unique_minimum_ok,
-        nonnegative_ok=nonnegative_ok,
-    )
+        minimal_entry_ok=table.entries.get(e.mu) == e.dim_e,
+        unique_minimum_ok=all(norm > mu_norm for delta, norm in table.norms.items()
+                              if delta != e.mu),
+        nonnegative_ok=all(v >= 0 for v in table.entries.values()))

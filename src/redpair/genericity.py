@@ -59,7 +59,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .linalg import dot
-from .parabolic import _regular, split_roots
+from .parabolic import split_roots
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, add, scale, sub, to_integers
 
@@ -81,16 +81,14 @@ class _Condition2Search:
     def __init__(self, p: ReductivePair, c: Weight, ms: WeightMultiset):
         self.p = p
         self.c = c
-        rows, self._den = to_integers(ms.entries)
+        rows, self._den = ms.integers
         (c_row,), self._c_den = to_integers([c])
         self._gram = p.t_gram_integers[0]
         self._gc = [dot(row, c_row) for row in self._gram]
         # Largest pairing B_i G C first: dominant-chamber weights fail fastest
-        order = sorted(zip(ms.entries.items(), rows),
-                       key=lambda e: (-dot(e[1], self._gc), e[0][0]))
-        self.weights = [b for (b, _), _ in order]
-        self.mults = [m for (_, m), _ in order]
-        self._rows = [row for _, row in order]    # the weights times _den
+        order = sorted(rows.items(), key=lambda e: (-dot(e[0], self._gc), e[0]))
+        self.mults = [m for _, m in order]
+        self._rows = [row for row, _ in order]    # the weights times _den
 
     def find_violation(self) -> bool:
         """True iff some nonempty submultiset S has t_pair(c - rho_S, rho_S) <= 0."""
@@ -118,10 +116,8 @@ class _Condition2Search:
                     break
         if counts is None:
             raise AssertionError("minimal_witness called without a violation")
-        ms = WeightMultiset(
-            {b: n for b, n in zip(self.weights, counts) if n},
-            rank=self.p.rank_t,
-        )
+        ms = WeightMultiset.from_rows({row: n for row, n in zip(self._rows, counts) if n},
+                                      self._den, self.p.rank_t)
         return ms, ms.half_sum()
 
     def _rank_one_witness(self) -> list[int] | None:
@@ -159,7 +155,7 @@ class _Condition2Search:
     def _tables(self) -> tuple[list[int], list[list[int]], list[int]]:
         """(cvals, pairs, q2) in the int units of the module docstring, q2[i]
         bounding sum n_a n_b pairs[a][b] over the count vectors on i..k-1."""
-        k = len(self.weights)
+        k = len(self._rows)
         cvals = [2 * self._den * dot(row, self._gc) for row in self._rows]
         gb = [[dot(g, row) for g in self._gram] for row in self._rows]
         pairs = [[self._c_den * dot(a, b) for b in gb] for a in self._rows]
@@ -175,7 +171,7 @@ class _Condition2Search:
         branch order (the count at each index going 0, 1, 2, ...), of
         exactly size copies when size is given; None when there is none."""
         cvals, pairs, q2 = self._tables
-        k = len(self.weights)
+        k = len(self._rows)
         counts = [0] * k
         dots = [0] * k             # sum_i n_i pairs[i][j]
         cs = ss = 0                # sum n_i cvals[i], sum n_i n_j pairs[i][j]
@@ -250,7 +246,7 @@ def is_generic(p: ReductivePair, mu: Weight) -> GenericityReport:
         raise ValueError(f"mu is not dominant integral: {defect}")
     lam = add(mu, scale(2, p.rho))
     n_roots, _, ch_t_n = split_roots(p, lam)
-    if not _regular(p, n_roots):
+    if len(n_roots) != p.nonzero_restricted:
         raise ValueError(
             "mu + 2 rho is irregular: it pairs to zero with a restricted root, "
             "so no minimal parabolic is attached to it"
@@ -300,4 +296,4 @@ def sl2_threshold(p: ReductivePair) -> int:
     """
     if p.rank_t != 1:
         raise ValueError(f"threshold needs a rank-one subalgebra, got rank {p.rank_t}")
-    return sum(abs(a) for (a,) in p.restricted_integers) // (2 * to_integers(p.restriction)[1])
+    return sum(abs(a) for (a,) in p.restricted_integers) // (2 * p.restriction_integers[1])

@@ -8,10 +8,11 @@ purely as small-side weight multisets.
 
 The split is one pass over the roots in integers: the pair stores each
 restricted root as an int row, ell = t_gram^T lam is formed in ints, and
-the sign of one int dot product places each root.  Copies of ch_t n are
-counted under int-row keys.  Regularity (no root of nonzero restriction
-pairs to zero with lam) is read off the same pass: n must hold a root
-for every positive root of nonzero restriction.
+the sign of one int dot product places each root.  The multisets stay
+int rows (``WeightMultiset.from_rows``), counted by signed row.
+Regularity (no root of nonzero restriction pairs to zero with lam) is
+read off the same pass: n must hold a root for every positive root of
+nonzero restriction.
 
 A remark on the intersection with the subalgebra k: the parabolic
 contains the whole Cartan, so p cap k always contains t; the quantity
@@ -23,29 +24,25 @@ The multiset split below implements exactly that reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import dot, to_integers
 from .reductive import ReductivePair
 from .weights import Weight, WeightMultiset, fmt, neg
 
 
-def _grading(p: ReductivePair, lam: Weight) -> tuple[list[int], int]:
-    """ell = t_gram^T lam = t_gram lam (the form is symmetric), so that ell . y =
-    t_pair(lam, y), as ints over a positive denominator, and that denominator."""
+def _grading(p: ReductivePair, lam: Weight) -> tuple[list[int], list[int]]:
+    """ell = t_gram^T lam = t_gram lam (the form is symmetric) in ints, so that
+    ell . y is a positive multiple of t_pair(lam, y), and lam's own int row."""
     if len(lam) != p.rank_t:
         raise ValueError(f"grading weight must have rank {p.rank_t}")
-    (gram, gram_den), ((lam_row,), lam_den) = p.t_gram_integers, to_integers([lam])
-    return [dot(row, lam_row) for row in gram], gram_den * lam_den
-
-
-def _regular(p: ReductivePair, n_roots: tuple[Weight, ...]) -> bool:
-    """Whether the split with these n roots comes from a regular lam."""
-    return len(n_roots) == sum(map(any, p.restricted_integers))
+    ((lam_row,), _) = to_integers([lam])
+    return [dot(row, lam_row) for row in p.t_gram_integers[0]], lam_row
 
 
 def is_regular(p: ReductivePair, lam: Weight) -> bool:
     """True iff lam pairs nonzero with every restricted root."""
-    return _regular(p, split_roots(p, lam)[0])
+    return len(split_roots(p, lam)[0]) == p.nonzero_restricted
 
 
 def split_roots(
@@ -59,23 +56,19 @@ def split_roots(
     root of zero pairing with its negative, positive first.
     """
     ell, _ = _grading(p, lam)
-    n_roots: list[Weight] = []
-    m_roots: list[Weight] = []
-    ch: dict[tuple[tuple[int, ...], bool], int] = {}   # copies by int row and sign
-    stored: dict[tuple[int, ...], Weight] = {}
-    for root, restricted, row in zip(p.g.positive_roots, p.restricted_positive,
-                                     p.restricted_integers):
+    n_roots, m_roots, counts = [], [], {}
+    for root, row in zip(p.g.positive_roots, p.restricted_integers):
         # restriction and pairing are linear: the negative root gives -value
         value = dot(ell, row)
-        if value:
-            n_roots.append(root if value > 0 else neg(root))
-            ch[row, value > 0] = ch.get((row, value > 0), 0) + 1
-            stored[row] = restricted
-        else:
+        if not value:
             m_roots += (root, neg(root))
-    return tuple(n_roots), tuple(m_roots), WeightMultiset(
-        [(stored[row] if up else neg(stored[row]), m) for (row, up), m in ch.items()],
-        rank=p.rank_t)
+            continue
+        if value < 0:
+            root, row = neg(root), tuple([-c for c in row])
+        n_roots.append(root)
+        counts[row] = counts.get(row, 0) + 1
+    return tuple(n_roots), tuple(m_roots), WeightMultiset.from_rows(
+        counts, p.restriction_integers[1], p.rank_t)
 
 
 @dataclass(frozen=True)
@@ -107,25 +100,20 @@ def compatible_parabolic(p: ReductivePair, lam: Weight) -> CompatibleParabolic:
     allowed and simply reports minimal=False.
     """
     n_roots, m_roots, ch_t_n = split_roots(p, lam)
-    cap_k = p.k_positive_multiset()
-    excess = ch_t_n.first_excess(cap_k)
-    if excess is not None:
-        raise ValueError(
-            f"the k-positive multiset does not embed in the character of n: "
-            f"weight {fmt(excess)} is missing; the embedding data is inconsistent "
-            f"or lam is not b_k-dominant"
-        )
-    cap_kperp = ch_t_n.minus(cap_k)
+    cap_k, cap_kperp = p.k_positive_multiset(), _n_cap_kperp(p, ch_t_n)
     return CompatibleParabolic(
-        lam=lam,
-        n_roots=n_roots,
-        m_roots=m_roots,
-        ch_t_n=ch_t_n,
-        ch_t_n_cap_k=cap_k,
-        ch_t_n_cap_kperp=cap_kperp,
-        rho_n=ch_t_n.half_sum(),
-        rho_n_perp=cap_kperp.half_sum(),
-        s=cap_k.size(),
-        r=cap_kperp.size(),
-        minimal=_regular(p, n_roots),
-    )
+        lam, n_roots, m_roots, ch_t_n, cap_k, cap_kperp, ch_t_n.half_sum(),
+        cap_kperp.half_sum(), cap_k.size(), cap_kperp.size(),
+        len(n_roots) == p.nonzero_restricted)
+
+
+def _n_cap_kperp(p: ReductivePair, ch_t_n: WeightMultiset) -> WeightMultiset:
+    """ch_t n less the k-positive roots, which must embed in it, by int row."""
+    (counts, den), cap_k = ch_t_n.integers, p.k_positive_multiset().integers[0]
+    missing = [row for row, m in cap_k.items() if counts.get(row, 0) < m]
+    if missing:
+        raise ValueError("the k-positive multiset does not embed in the character of n: "
+                         f"weight {fmt([Fraction(a, den) for a in min(missing)])} is missing; "
+                         "the embedding data is inconsistent or lam is not b_k-dominant")
+    return WeightMultiset.from_rows({row: m - cap_k.get(row, 0) for row, m in counts.items()
+                                     if m > cap_k.get(row, 0)}, den, p.rank_t)

@@ -37,6 +37,7 @@ never through the form, so no normalization mismatch can creep in.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -81,12 +82,23 @@ class ReductivePair:
         """t_gram as int rows over one common denominator, and that denominator."""
         return to_integers(self.t_gram)
 
+    @cached_property
+    def restriction_integers(self) -> tuple[list[list[int]], int]:
+        """The restriction as int rows over the denominator of restricted_integers."""
+        return to_integers(self.restriction)
+
+    @cached_property
+    def nonzero_restricted(self) -> int:
+        """How many positive roots restrict to nonzero weights."""
+        return sum(map(any, self.restricted_integers))
+
     def restrict(self, x: Weight) -> Weight:
         if len(x) != self.g.rank:
             raise ValueError(
                 f"expected a weight of rank {self.g.rank}, got length {len(x)}"
             )
-        return mat_vec(self.restriction, x)
+        (rows, den), ((x_row,), x_den) = self.restriction_integers, to_integers([x])
+        return tuple([Fraction(dot(row, x_row), den * x_den) for row in rows])
 
     def lift_weight(self, y: Weight) -> Weight:
         if len(y) != self.rank_t:
@@ -119,7 +131,15 @@ class ReductivePair:
         return self.dominance_defect(mu) is None
 
     def k_positive_multiset(self) -> WeightMultiset:
-        return WeightMultiset(((w, 1) for w in self.k_positive_roots), rank=self.rank_t)
+        """The k-positive roots, one multiset per pair that no caller may change."""
+        return self._k_multiset
+
+    @cached_property
+    def _k_multiset(self) -> WeightMultiset:   # int rows as split_roots counts them
+        den = self.restriction_integers[1]
+        return WeightMultiset.from_rows(Counter(
+            tuple([c.numerator * den // c.denominator for c in w]) for w in self.k_positive_roots),
+            den, self.rank_t)
 
     def k_weyl_group(self) -> list[WeylElement]:
         """The subalgebra's Weyl group acting on small-side weights, read
@@ -215,6 +235,26 @@ def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
                          k_positive, rho, restricted, scaled, kind, k_weyl_order)
 
 
+def check_sizes(rank_g: int, labels=None, nodes=(), restriction=None, k_simple=(),
+                functionals=()) -> None:
+    """Refuse sl2 labels, Levi nodes, or an explicit restriction (rank_t x
+    rank_g) and k data (rank_t long) whose sizes do not fit rank_g."""
+    if labels is not None and len(labels) != rank_g:
+        raise ValueError(f"expected {rank_g} labels, got {len(labels)}")
+    for i in nodes:
+        if not 1 <= i <= rank_g:
+            raise ValueError(f"simple-root index {i} outside 1..{rank_g}")
+    if restriction is not None:
+        if not restriction or any(len(row) != rank_g for row in restriction):
+            raise ValueError(f"restriction must be rank_t x {rank_g}")
+        if len(k_simple) != len(functionals):
+            raise ValueError("one coroot functional is required per k-simple root")
+        for name, rows in (("k-simple root", k_simple), ("coroot functional", functionals)):
+            for row in rows:
+                if len(row) != len(restriction):
+                    raise ValueError(f"{name} {fmt(row)} has wrong rank")
+
+
 def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
     """Pair with a one-dimensional small Cartan fixed by marks on the
     simple roots.
@@ -225,8 +265,7 @@ def make_sl2_pair(g: RootSystem, labels: list[int]) -> ReductivePair:
     {0, 1, 2} cannot occur for a semisimple element of a standard
     triple and are rejected; the all-zero vector is rejected too.
     """
-    if len(labels) != g.rank:
-        raise ValueError(f"expected {g.rank} labels, got {len(labels)}")
+    check_sizes(g.rank, labels)
     for l in labels:
         if l not in (0, 1, 2):
             raise ValueError(f"label {l} outside {{0, 1, 2}}")
@@ -246,9 +285,7 @@ def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
     """Levi subalgebra generated by a subset of simple roots (1-based
     indices), with the Cartan-matrix columns as coroots; the empty subset
     degenerates to the Cartan pair."""
-    for i in simple_subset:
-        if not 1 <= i <= g.rank:
-            raise ValueError(f"simple-root index {i} outside 1..{g.rank}")
+    check_sizes(g.rank, nodes=simple_subset)
     indices = sorted(i - 1 for i in simple_subset)
     return _pair(g, g.simple_roots, tuple(g.simple_roots[i] for i in indices),
                  tuple(tuple(row[i] for row in g.cartan) for i in indices), "levi")
@@ -265,19 +302,9 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
     Cartan matrix; each must occur among the restricted roots of g.
     """
     restriction = tuple(weight(row) for row in restriction)
-    rank_t = len(restriction)
-    if rank_t == 0 or any(len(row) != g.rank for row in restriction):
-        raise ValueError(f"restriction must be rank_t x {g.rank}")
     k_simple = tuple(weight(s) for s in k_simple_roots)
     functionals = tuple(weight(f) for f in k_coroot_functionals)
-    if len(k_simple) != len(functionals):
-        raise ValueError("one coroot functional is required per k-simple root")
-    for s in k_simple:
-        if len(s) != rank_t:
-            raise ValueError(f"k-simple root {fmt(s)} has wrong rank")
-    for f in functionals:
-        if len(f) != rank_t:
-            raise ValueError(f"coroot functional {fmt(f)} has wrong rank")
+    check_sizes(g.rank, restriction=restriction, k_simple=k_simple, functionals=functionals)
     pair = _pair(g, restriction, k_simple, functionals, "explicit")
 
     # each reflection x -> x - f(x) sigma must preserve the induced form, as

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 from .linalg import Matrix, dot, mat_vec, solve
-from .weights import FractionTable, Weight, WeightMultiset, add, fmt, to_integers
+from .weights import FractionTable, Weight, fmt, to_integers
 
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
@@ -176,6 +176,11 @@ class RootSystem:
         rows, den = to_integers(solve(self.gram, self.simple_roots))
         return tuple(map(tuple, rows)), den
 
+    @cached_property
+    def gram_integers(self) -> tuple[list[list[int]], int]:
+        """G as int rows over one common denominator, and that denominator."""
+        return to_integers(self.gram)
+
     def pair(self, x: Weight, y: Weight) -> Fraction:
         """The invariant form, evaluated in simple-root coordinates."""
         n = self.rank
@@ -299,25 +304,6 @@ def _build_root_system(lie_type: LieType) -> RootSystem:
     )
 
 
-def _reflect(x: Weight, c: Fraction, sigma: Weight) -> Weight:
-    """x - c sigma: the simple reflection of x, given c = <x, sigma-coroot>."""
-    return tuple(a - c * b for a, b in zip(x, sigma))
-
-
-def fold_dominant(x: Weight, simple_roots: tuple[Weight, ...],
-                  coroot_pairing) -> Weight:
-    """The unique weakly dominant point of the Weyl orbit of x, reached by
-    the simple reflections x -> x - <x, sigma_i-coroot> sigma_i."""
-    while True:
-        for i, sigma in enumerate(simple_roots):
-            c = coroot_pairing(x, i)
-            if c < 0:
-                x = _reflect(x, c, sigma)
-                break
-        else:
-            return x
-
-
 def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing):
     """The breadth-first walk of ``reflection_orbit`` in integer coroot
     coordinates.  Returns (scale, nodes), each node (word, a) with
@@ -412,8 +398,9 @@ class WeylElement:
         return len(self.word)
 
     def apply(self, x: Weight) -> Weight:
-        for i in reversed(self.word):
-            x = _reflect(x, self.coroot_pairing(x, i), self.simple_roots[i])
+        for i in reversed(self.word):   # x - <x, sigma_i-coroot> sigma_i
+            c = self.coroot_pairing(x, i)
+            x = tuple(a - c * b for a, b in zip(x, self.simple_roots[i]))
         return x
 
 
@@ -433,23 +420,20 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     return enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, rs.rho_tilde)
 
 
-def weyl_dim_from_roots(positive_roots: list[Weight],
-                        form, highest: Weight) -> int:
-    """Weyl dimension formula over an explicit set of positive roots.
-
-    ``form`` is the ambient invariant bilinear form.  The empty root
-    system gives 1 for every weight (torus factor).
-    """
-    if not positive_roots:
-        return 1
-    rho = WeightMultiset((a, 1) for a in positive_roots).half_sum()
-    value = Fraction(1)
-    shifted = add(highest, rho)
-    for a in positive_roots:
-        value *= form(shifted, a) / form(rho, a)
-    if value.denominator != 1 or value <= 0:
-        raise ValueError(f"Weyl dimension formula gave a non-natural value {value}")
-    return int(value)
+def weyl_dim_from_roots(rs: RootSystem, rows, highest: Weight) -> int:
+    """Weyl's dimension formula prod (2 highest + S, a) / (S, a) over the
+    positive roots of a subsystem, int rows with sum S, on the int Gram
+    matrix of rs; no roots give 1 for every weight (a torus factor)."""
+    (x,), d = to_integers([highest])
+    total = [sum(column) for column in zip(*rows)]
+    num = den = 1
+    for row in rows:
+        g_a = [dot(g, row) for g in rs.gram_integers[0]]
+        s = d * dot(total, g_a)
+        num, den = num * (2 * dot(x, g_a) + s), den * s
+    if num % den or num <= 0:
+        raise ValueError(f"Weyl dimension formula gave a non-natural value {Fraction(num, den)}")
+    return num // den
 
 
 def weyl_dim(rs: RootSystem, highest: Weight) -> int:
@@ -461,4 +445,4 @@ def weyl_dim(rs: RootSystem, highest: Weight) -> int:
                 f"weight {fmt(highest)} is not dominant integral: "
                 f"coroot pairing {c} at simple root {i + 1}"
             )
-    return weyl_dim_from_roots(list(rs.positive_roots), rs.pair, highest)
+    return weyl_dim_from_roots(rs, rs.positive_integers, highest)

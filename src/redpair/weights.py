@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, Union
 
 Weight = tuple[Fraction, ...]
@@ -21,9 +22,7 @@ def as_fraction(x: Rational) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string; floats are rejected."""
     if isinstance(x, bool):
         raise TypeError("booleans are not rationals")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -90,7 +89,10 @@ class WeightMultiset:
     """A finite multiset of weights of a common rank.
 
     Entries map each weight to a strictly positive multiplicity.  The
-    rank must be given explicitly for the empty multiset.
+    rank must be given explicitly for the empty multiset.  ``integers``
+    is the same multiset as int rows over one denominator D > 0, which
+    sort as the weights do; a multiset made ``from_rows`` forms its
+    weights on first use, any other its rows.
     """
 
     def __init__(self, entries: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = (),
@@ -116,9 +118,28 @@ class WeightMultiset:
                 raise ValueError("rank is required for an empty multiset")
             self.rank = rank
 
+    @classmethod
+    def from_rows(cls, rows: dict[tuple[int, ...], int], den: int, rank: int) -> WeightMultiset:
+        """The weights row / den: distinct rows of this rank, positive counts."""
+        ms = cls.__new__(cls)
+        ms.integers, ms.rank = (rows, den), rank
+        return ms
+
+    @cached_property
+    def entries(self) -> dict[Weight, int]:     # of a multiset made from rows
+        rows, den = self.integers
+        fractions = FractionTable(den)
+        return {tuple(map(fractions.__getitem__, row)): m for row, m in rows.items()}
+
+    @cached_property
+    def integers(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """Each weight times the common denominator D, an int row, to its count; and D."""
+        rows, den = to_integers(self.entries)
+        return dict(zip(map(tuple, rows), self.entries.values())), den
+
     def size(self) -> int:
         """Total multiplicity."""
-        return sum(self.entries.values())
+        return sum(self.integers[0].values())
 
     def support(self) -> list[Weight]:
         """Distinct weights in canonical (lexicographic) order."""
@@ -128,29 +149,10 @@ class WeightMultiset:
         return self.entries.get(w, 0)
 
     def half_sum(self) -> Weight:
-        """Half the multiplicity-weighted sum, one coordinate at a time in
-        integers scaled by the common denominator D of all coordinates."""
-        rows, den = to_integers(self.entries)
-        scaled = list(zip(self.entries.values(), rows))
-        return tuple(Fraction(sum([m * w[i] for m, w in scaled]), 2 * den)
-                     for i in range(self.rank))
-
-    def first_excess(self, other: "WeightMultiset") -> Weight | None:
-        """First weight (canonical order) where ``other`` exceeds this multiset."""
-        for w in other.support():
-            if self.entries.get(w, 0) < other.entries[w]:
-                return w
-        return None
-
-    def minus(self, other: "WeightMultiset") -> "WeightMultiset":
-        """Exact multiset difference; raises if ``other`` is not contained."""
-        excess = self.first_excess(other)
-        if excess is not None:
-            raise ValueError(f"not a submultiset: weight {fmt(excess)} has excess multiplicity")
-        return WeightMultiset(
-            {w: m - other.entries.get(w, 0) for w, m in self.entries.items()},
-            rank=self.rank,
-        )
+        """Half the multiplicity-weighted sum, in ints over 2 D."""
+        rows, den = self.integers
+        return tuple([Fraction(sum([m * row[i] for row, m in rows.items()]), 2 * den)
+                      for i in range(self.rank)])
 
     def items(self) -> Iterator[tuple[Weight, int]]:
         return iter(sorted(self.entries.items()))

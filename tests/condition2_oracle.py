@@ -8,14 +8,21 @@ the sorted weights, multiplicities and grading weight of a
 from fractions import Fraction
 
 
+def scan_weights(search):
+    """The weights of a ``_Condition2Search`` in its order: its int rows
+    over its denominator."""
+    return [tuple(Fraction(a, search._den) for a in row) for row in search._rows]
+
+
 def tables(search):
     """(cvals, pairs, q2) for the depth-first scan: t_pair(c, beta_i),
     t_pair(beta_i, beta_j), and per-suffix bounds q2[i] >= |q|^2 for
     every q built from weights i..k-1."""
     p = search.p
-    k = len(search.weights)
-    cvals = [p.t_pair(search.c, b) for b in search.weights]
-    pairs = [[p.t_pair(a, b) for b in search.weights] for a in search.weights]
+    weights = scan_weights(search)
+    k = len(weights)
+    cvals = [p.t_pair(search.c, b) for b in weights]
+    pairs = [[p.t_pair(a, b) for b in weights] for a in weights]
     q2 = [Fraction(0)] * (k + 1)
     for i in range(k - 1, -1, -1):
         total = q2[i + 1]
@@ -34,7 +41,7 @@ def first_violation(search, size=None):
     branch order (the count at each index going 0, 1, 2, ...), of
     exactly size copies when size is given; None when there is none."""
     cvals, pairs, q2 = tables(search)
-    k = len(search.weights)
+    k = len(search.mults)
     counts = [0] * k
     dots = [Fraction(0)] * k   # t_pair(rho_S, beta_j)
     cs = Fraction(0)           # t_pair(c, rho_S)

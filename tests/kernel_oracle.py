@@ -1,8 +1,9 @@
 """The ``Fraction`` versions of the integer kernels, kept as their oracles:
-the orbit walk on weight vectors, Gauss-Jordan inversion and the matrix
-product over the rationals, and the root split that restricts every root
-on each call; and the root closure by root strings, which sums each
-candidate's coroot pairing over the whole rank."""
+the orbit walk on weight vectors and the fold to the dominant chamber,
+Gauss-Jordan inversion and the matrix product over the rationals, and the
+root split that restricts every root on each call; and the root closure by
+root strings, which sums each candidate's coroot pairing over the whole
+rank."""
 
 from fractions import Fraction
 
@@ -34,6 +35,19 @@ def reflection_orbit(x, simple_roots, coroot_pairing):
     return orbit
 
 
+def fold_dominant(x, simple_roots, coroot_pairing):
+    """The unique weakly dominant point of the Weyl orbit of x, reached by
+    the simple reflections x -> x - <x, sigma_i-coroot> sigma_i."""
+    while True:
+        for i, sigma in enumerate(simple_roots):
+            c = coroot_pairing(x, i)
+            if c < 0:
+                x = tuple(a - c * b for a, b in zip(x, sigma))
+                break
+        else:
+            return x
+
+
 def identity(n):
     """The n x n identity matrix in ``Fraction``."""
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
@@ -60,12 +74,17 @@ def inverse(a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def restrict(p, x):
+    """The restriction matrix times x, summed in ``Fraction``."""
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in p.restriction)
+
+
 def split_roots(p, lam):
     """(n_roots, m_roots, ch_t_n), restricting each root and pairing it
     through ``t_pair``."""
     n_roots, m_roots, ch = [], [], {}
     for root in p.g.positive_roots:
-        restricted = p.restrict(root)
+        restricted = restrict(p, root)
         value = p.t_pair(lam, restricted)
         if value > 0:
             n_roots.append(root)

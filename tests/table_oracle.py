@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from kernel_oracle import fold_dominant
 from partition_oracle import IntegerCounter
 from redpair.fundseries import kostant_weights
 from redpair.genericity import norm2_shifted
-from redpair.rootsystem import fold_dominant
 from redpair.weights import Weight, add, sub, zero
 
 

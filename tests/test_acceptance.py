@@ -23,6 +23,7 @@ from redpair.parabolic import compatible_parabolic, is_regular, split_roots
 from redpair.reductive import make_cartan_pair, make_levi_pair, make_sl2_pair
 from redpair.rootsystem import build_root_system, weyl_group
 from redpair.weights import WeightMultiset, add, scale, sub, vec, zero
+from series_oracle import first_excess, minus
 from submultiset_oracle import iter_submultisets
 
 SL2_MATRIX_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
@@ -157,8 +158,8 @@ def test_criterion_5_partition_oracle():
     for _, _, p in all_sl2_pairs():
         _, _, ch_t_n = split_roots(p, vec(1))
         for ms in (ch_t_n,
-                   ch_t_n.minus(p.k_positive_multiset())
-                   if ch_t_n.first_excess(p.k_positive_multiset()) is None else None):
+                   minus(ch_t_n, p.k_positive_multiset())
+                   if first_excess(ch_t_n, p.k_positive_multiset()) is None else None):
             if ms is None or not len(ms):
                 continue
             key = tuple(sorted((w[0], m) for w, m in ms.items()))

@@ -15,6 +15,8 @@ import itertools
 import pytest
 
 import kernel_oracle
+import series_oracle
+from condition2_oracle import scan_weights
 from redpair.genericity import _Condition2Search, is_generic, sl2_threshold
 from redpair.parabolic import compatible_parabolic, is_regular, split_roots
 from redpair.reductive import make_levi_pair, make_sl2_pair
@@ -29,12 +31,12 @@ def check_chamber(p, lam):
     n_roots, m_roots, ch_t_n = split_roots(p, lam)
     assert (n_roots, m_roots, ch_t_n) == kernel_oracle.split_roots(p, lam)
     assert is_regular(p, lam) == regular
-    if ch_t_n.first_excess(p.k_positive_multiset()) is None:
+    if series_oracle.first_excess(ch_t_n, p.k_positive_multiset()) is None:
         assert compatible_parabolic(p, lam).minimal == regular
     else:
         with pytest.raises(ValueError, match="does not embed"):
             compatible_parabolic(p, lam)
-    weights = _Condition2Search(p, lam, ch_t_n).weights
+    weights = scan_weights(_Condition2Search(p, lam, ch_t_n))
     assert weights == sorted(ch_t_n.support(), key=lambda b: (-p.t_pair(lam, b), b))
     return regular
 

@@ -94,6 +94,8 @@ def test_one_key_edit_ends_in_a_documented_exit_code(config_path, template, edit
 
 
 A2_MARKS_23 = {"lie_type": "A2", "k": "sl2", "labels": "[2, 3]"}
+A20_EXPLICIT = {"lie_type": "A20", "k": "explicit", "command": "pair-info",
+                "restriction": "[[" + ", ".join(["1"] * 20) + "]]"}
 
 
 @pytest.mark.parametrize("job, message", [
@@ -108,7 +110,16 @@ A2_MARKS_23 = {"lie_type": "A2", "k": "sl2", "labels": "[2, 3]"}
      "config key 'nu_basis' is not read with a scalar nu"),
     ({"lie_type": "A20", "k": "cartan", "command": "generic-check", "mu": "[1, 2]"},
      "'mu' must have 20 coordinates"),
-], ids=["cap-floor", "labels", "mu", "lambda-and-mu", "nu-basis", "mu-length"])
+    ({"lie_type": "A20", "k": "sl2", "labels": "[2, 2]", "command": "pair-info"},
+     "expected 20 labels, got 2"),
+    ({"lie_type": "A20", "k": "levi", "nodes": "[3, 21]", "command": "pair-info"},
+     "simple-root index 21 outside 1..20"),
+    ({**A20_EXPLICIT, "restriction": "[[1, 2]]", "k_simple_roots": "[]", "k_coroots": "[]"},
+     "restriction must be rank_t x 20"),
+    ({**A20_EXPLICIT, "k_simple_roots": "[[2, 1/2]]", "k_coroots": "[[1]]"},
+     "k-simple root [2, 1/2] has wrong rank"),
+], ids=["cap-floor", "labels", "mu", "lambda-and-mu", "nu-basis", "mu-length",
+        "labels-length", "nodes-range", "restriction-rows", "k-data-length"])
 def test_a_config_fault_is_refused_before_an_oversized_type_or_a_bad_mark(
         config_path, job, message):
     # A20 is over the root cap (exit 4) and the mark 3 is invalid (exit 3),

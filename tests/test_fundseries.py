@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import kernel_oracle
 from redpair.fundseries import (
+    InducingModule,
     PartitionCounter,
     euler_multiplicity,
     inducing_module,
@@ -17,7 +19,7 @@ from redpair.fundseries import (
 from redpair.genericity import norm2_shifted
 from redpair.parabolic import compatible_parabolic
 from redpair.reductive import make_cartan_pair, make_levi_pair, make_sl2_pair
-from redpair.rootsystem import CapExceeded, build_root_system, fold_dominant, weyl_group
+from redpair.rootsystem import CapExceeded, build_root_system, weyl_group
 from redpair.weights import WeightMultiset, add, scale, sub, vec, zero
 
 
@@ -276,14 +278,18 @@ def test_infinitesimal_character():
 
 def test_dominant_representative_orbit_invariance():
     # replacing nu by w(nu + rho_tilde) - rho_tilde never moves the character
-    g = build_root_system("A2")
-    x = add(vec(2, 1), g.rho_tilde)
-    rep = fold_dominant(x, g.simple_roots, g.coroot_pairing)
-    for w in weyl_group(g):
-        assert fold_dominant(w.apply(x), g.simple_roots, g.coroot_pairing) == rep
-    # antidominant input: the longest element maps it back
-    w0 = max(weyl_group(g), key=lambda w: w.length)
-    assert fold_dominant(w0.apply(x), g.simple_roots, g.coroot_pairing) == rep
+    for lie, nu in (("A2", vec(2, 1)), ("B3", vec(1, "1/2", "-3/2")), ("G2", vec(-1, 3))):
+        g = build_root_system(lie)
+        x = add(nu, g.rho_tilde)
+
+        def character(w):
+            e = InducingModule(nu=sub(w.apply(x), g.rho_tilde), omega=(), dim_e=1, mu=())
+            return infinitesimal_character(g, e)
+        rep = kernel_oracle.fold_dominant(x, g.simple_roots, g.coroot_pairing)
+        assert all(character(w) == rep for w in weyl_group(g))
+        # antidominant input: the longest element maps it back
+        w0 = max(weyl_group(g), key=lambda w: w.length)
+        assert character(w0) == rep
 
 
 def test_rank_two_levi_table_and_completeness():

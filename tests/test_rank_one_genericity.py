@@ -12,6 +12,7 @@ from redpair.parabolic import split_roots
 from redpair.reductive import make_explicit_pair, make_sl2_pair
 from redpair.rootsystem import build_root_system
 from redpair.weights import WeightMultiset, vec
+from condition2_oracle import scan_weights
 from witness_oracle import minimal_witness
 
 
@@ -21,7 +22,7 @@ def dfs_witness(search):
         counts = search._first_violation(size)
         if counts is not None:
             ms = WeightMultiset(
-                {b: n for b, n in zip(search.weights, counts) if n}, rank=1)
+                {b: n for b, n in zip(scan_weights(search), counts) if n}, rank=1)
             return ms, ms.half_sum()
     return None
 

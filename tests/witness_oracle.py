@@ -3,6 +3,7 @@ condition 2, the oracle for the pruned witness search of
 ``redpair.genericity``.  It reads the sorted weights, multiplicities and
 grading weight of a ``_Condition2Search`` and nothing else."""
 
+from condition2_oracle import scan_weights
 from redpair.weights import WeightMultiset, sub
 
 
@@ -17,7 +18,8 @@ def minimal_witness(search):
 
 
 def witness_of_size(self, size: int):
-    k = len(self.weights)
+    weights = scan_weights(self)
+    k = len(weights)
     counts = [0] * k
     remaining = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -26,7 +28,7 @@ def witness_of_size(self, size: int):
     def rec(i: int, need: int):
         if need == 0:
             ms = WeightMultiset(
-                {self.weights[j]: counts[j] for j in range(k) if counts[j]},
+                {weights[j]: counts[j] for j in range(k) if counts[j]},
                 rank=self.p.rank_t,
             )
             rho_s = ms.half_sum()
