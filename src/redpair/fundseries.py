@@ -43,8 +43,8 @@ from .linalg import dot
 from .parabolic import (CompatibleParabolic, _grading, _n_cap_kperp, compatible_parabolic,
                         split_roots)
 from .reductive import ReductivePair
-from .rootsystem import (CapExceeded, RootSystem, reflection_orbit, refuse_weyl_order,
-                         weyl_dim_from_roots)
+from .rootsystem import (CapExceeded, RootSystem, cartan_matrix, reflection_orbit,
+                         refuse_weyl_order, weyl_dim_from_roots, weyl_fold)
 from .weights import FractionTable, Weight, WeightMultiset, add, fmt, scale, sub, to_integers
 
 
@@ -286,7 +286,7 @@ def kostant_weights(p: ReductivePair, delta: Weight) -> list[tuple[int, Weight]]
     if defect is not None:
         raise ValueError(f"delta is not dominant integral: {defect}")
     refuse_weyl_order(p.k_weyl_order)
-    orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots, p.coroot_pairing)
+    orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots, p.k_coroot_functionals)
     return sorted((len(word), sub(y, p.rho)) for word, y in orbit)
 
 
@@ -390,7 +390,7 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     Everything runs on int tuples, weights scaled by D = lcm(denominators
     of mu + rho, rho and the generators' int rows) times the denominators
     of the k-simple roots and of the coroot functionals, so that every
-    reflection of an orbit point is an exact integer step; |y|^2 is carried
+    reflection of ``weyl_fold`` is an exact integer step; |y|^2 is carried
     along each ray of the walk, 2 <y, G beta> + |beta|^2 a step.  The walk
     is refused past MAX_TABLE_POINTS points, and a small Weyl group over
     MAX_WEYL elements before it starts.
@@ -441,20 +441,17 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     count = _sweep(points, start, zip(ends, steps))
     del points                  # before the fold
 
-    # the fold, the pairings c = fun_den D <y, sigma_j-coroot> carried along
-    cartan = [[dot(f, s) // q for f in funs] for s in sigmas]
+    # the fold of each point, from its pairings c = fun_den D <y, sigma_j-coroot>
+    cartan = cartan_matrix(p.k_simple_roots, p.k_coroot_functionals)
     folded: dict[tuple[int, ...], int] = {}
     for y, n in count.items():
-        c = [dot(f, y) for f in funs]
-        while True:
-            for i, ci in enumerate(c):
-                if ci < 0:
-                    y = tuple([a - ci // q * s for a, s in zip(y, sigmas[i])])
-                    c = [a - ci * s for a, s in zip(c, cartan[i])]
-                    n = -n
-                    break
-            else:
-                break
+        c = [sum(map(operator.mul, f, y)) for f in funs]
+        if min(c, default=0) < 0:
+            a, reflections = weyl_fold(c, cartan)
+            for ai, sigma in zip(a, sigmas):
+                if ai:
+                    y = tuple([u - ai // q * v for u, v in zip(y, sigma)])
+            n = -n if reflections % 2 else n
         folded[y] = folded.get(y, 0) + n
 
     # keep z when |z|^2 <= cutoff and delta = z - rho is dominant integral: each
@@ -462,10 +459,10 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     kept, fractions = [], FractionTable(den)
     rho_c, whole = [dot(f, rho) for f in funs], fun_den * den
     for z, total in folded.items():
-        norm = norm2(tuple(map(operator.add, z, rho)))
-        if total and norm * cut_den <= cut * unit and all(
-                (v := dot(f, z) - r) >= 0 and not v % whole for f, r in zip(funs, rho_c)):
-            kept.append((norm, tuple(map(operator.sub, z, rho)), e.dim_e * total))
+        if total and all((v := dot(f, z) - r) >= 0 and not v % whole
+                         for f, r in zip(funs, rho_c)):
+            if (norm := norm2(tuple(map(operator.add, z, rho)))) * cut_den <= cut * unit:
+                kept.append((norm, tuple(map(operator.sub, z, rho)), e.dim_e * total))
     kept = [(Fraction(n, unit), tuple(map(fractions.__getitem__, d)), m)
             for n, d, m in sorted(kept)]
     return MultiplicityTable(entries={delta: mult for _, delta, mult in kept},
@@ -475,19 +472,11 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
 
 def infinitesimal_character(rs: RootSystem, e: InducingModule) -> Weight:
     """The central character, labeled by the dominant point of the Weyl
-    orbit of nu + the ambient Weyl vector, folded in ints: x_i -= c_i while
-    a coroot pairing c_i is negative, c carried along by the Cartan rows."""
+    orbit of nu + the ambient Weyl vector: its simple-root coordinates
+    minus the displacement of ``weyl_fold`` on the ambient Cartan matrix."""
     (x,), den = to_integers([add(e.nu, rs.rho_tilde)])
-    cartan, _ = to_integers(rs.cartan)
-    c = [dot(x, column) for column in zip(*cartan)]
-    while True:
-        for i, ci in enumerate(c):
-            if ci < 0:
-                x[i] -= ci
-                c = [a - ci * b for a, b in zip(c, cartan[i])]
-                break
-        else:
-            return tuple([Fraction(a, den) for a in x])
+    a, _ = weyl_fold([dot(x, column) for column in zip(*rs.cartan)], rs.cartan)
+    return tuple([Fraction(u - v, den) for u, v in zip(x, a)])
 
 
 @dataclass(frozen=True)

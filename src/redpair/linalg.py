@@ -22,35 +22,31 @@ def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """The exact X with a X = b; raises ValueError on a singular a.
+    """The exact X with a X = b; raises ValueError on a singular a."""
+    rows, den = solve_integers(a, b)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
-    a and b are scaled by their common denominators Da and Db into
-    integers, and fraction-free Gauss-Jordan elimination (Bareiss) runs on
-    [Da a | Db b]: every division by the previous pivot is exact, and at
-    the end the left block is d times the identity, d = +-det(Da a), and
-    the right block is d (Da a)^{-1} Db b.  X is then Da / (Db d) times
-    the right block, each entry made a Fraction once.
-    """
+
+def solve_integers(a: Matrix, b: Matrix) -> tuple[list[list[int]], int]:
+    """``solve`` as int rows over one denominator, and that denominator: exact
+    (Bareiss) elimination on [Da a | Db b], a and b scaled into ints, ends in
+    [d id | d (Da a)^{-1} Db b], d = +-det(Da a), and X is Da / (Db d) times its right block."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
     if len(b) != n:
         raise ValueError(f"matrix is {n}x{n}, right-hand side has {len(b)} rows")
-    left, da = to_integers(a)
-    right, db = to_integers(b)
-    aug = [x + y for x, y in zip(left, right)]
-    prev = 1
+    (left, da), (right, db) = to_integers(a), to_integers(b)
+    aug, prev = [x + y for x, y in zip(left, right)], 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise ValueError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        top = aug[col]
-        p = top[col]
+        top, p = aug[col], aug[col][col]
         for r in range(n):
             if r != col:
-                row = aug[r]
-                f = row[col]
-                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                f = aug[r][col]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], top)]
         prev = p
-    return tuple(tuple(Fraction(x * da, db * prev) for x in row[n:]) for row in aug)
+    return [[x * da for x in row[n:]] for row in aug], db * prev

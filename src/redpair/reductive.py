@@ -14,8 +14,8 @@ the rest once:
   rows scaled by the common denominator of the restriction and as weights,
   multiplied out in ints from the root system's int tuples;
 - the k-positive roots, the closure under raising simple reflections of
-  the k Cartan matrix <sigma_i, sigma_j-coroot>, which must be a
-  generalized Cartan matrix, combined with the k-simple roots; rho, half
+  the k Cartan matrix (``rootsystem.cartan_matrix``, which must find a
+  generalized Cartan matrix), combined with the k-simple roots; rho, half
   their sum; and |W_k|, read off the heights of the closure.  These depend
   on the k root data alone, so they are derived once per process for each
   (k-simple roots, coroot functionals, rank, root cap) and shared: the
@@ -44,16 +44,16 @@ from functools import cached_property, lru_cache
 
 from .linalg import Matrix, dot, mat_vec, solve, to_integers
 from .rootsystem import (
+    MAX_CACHED_K_DATA,
     RootSystem,
     WeylElement,
     _root_closure,
+    cartan_matrix,
     enumerate_reflection_group,
     refuse_weyl_order,
     weyl_group_order,
 )
 from .weights import FractionTable, Weight, WeightMultiset, fmt, neg, weight
-
-MAX_CACHED_K_DATA = 256    # k root data whose derived side _k_side keeps
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,8 @@ class ReductivePair:
         """The subalgebra's Weyl group acting on small-side weights, read
         off the orbit of rho; refused by its order over MAX_WEYL."""
         refuse_weyl_order(self.k_weyl_order)
-        return enumerate_reflection_group(self.k_simple_roots, self.coroot_pairing, self.rho)
+        return enumerate_reflection_group(self.k_simple_roots, self.k_coroot_functionals,
+                                          self.rho)
 
 
 def _orthogonal_section(g: RootSystem, rows, den: int) -> tuple[Matrix, Matrix]:
@@ -175,32 +176,6 @@ def _images(rows, den: int, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple
     return scaled, tuple([tuple(map(fractions.__getitem__, image)) for image in scaled])
 
 
-def _k_cartan(k_simple: tuple[Weight, ...],
-              functionals: tuple[tuple[Fraction, ...], ...]) -> list[list[int]]:
-    """The k Cartan matrix, entry (i, j) = <sigma_i, sigma_j-coroot>.  It must
-    be a generalized Cartan matrix: integers, 2 on the diagonal, no positive
-    entry off it, and entry (i, j) zero exactly when entry (j, i) is."""
-    cartan = [[dot(s, f) for f in functionals] for s in k_simple]
-    for i, row in enumerate(cartan):
-        for j, v in enumerate(row):
-            if v.denominator != 1:
-                raise ValueError(
-                    f"non-integral coroot pairing {v} between k-simple roots "
-                    f"{fmt(k_simple[i])} and {fmt(k_simple[j])}"
-                )
-            if i == j and v != 2:
-                raise ValueError(f"k-simple root {fmt(k_simple[i])} pairs to {v} != 2 "
-                                 "with its own coroot")
-            if i != j and v > 0:
-                raise ValueError("positive off-diagonal Cartan entry in k root data")
-    for i, row in enumerate(cartan):
-        for j, v in enumerate(row):
-            if v == 0 != cartan[j][i]:
-                raise ValueError(f"k Cartan entry ({i + 1}, {j + 1}) is 0 but ({j + 1}, "
-                                 f"{i + 1}) is {cartan[j][i]}: not a generalized Cartan matrix")
-    return [[v.numerator for v in row] for row in cartan]
-
-
 @lru_cache(maxsize=MAX_CACHED_K_DATA)
 def _k_side(k_simple: tuple[Weight, ...], functionals: tuple[tuple[Fraction, ...], ...],
             rank_t: int, max_roots: int) -> tuple[tuple[Weight, ...], Weight, int]:
@@ -210,7 +185,7 @@ def _k_side(k_simple: tuple[Weight, ...], functionals: tuple[tuple[Fraction, ...
     lexicographically in k-simple-root coordinates; a Levi subset's roots
     therefore keep the order they have among the roots of g.
     """
-    closure = _root_closure(_k_cartan(k_simple, functionals), max_roots=max_roots)
+    closure = _root_closure(cartan_matrix(k_simple, functionals), max_roots=max_roots)
     _, k_positive = _images(*to_integers(list(zip(*k_simple))), closure)
     rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
     return k_positive, rho, weyl_group_order(closure)
@@ -288,7 +263,7 @@ def make_levi_pair(g: RootSystem, simple_subset: set[int]) -> ReductivePair:
     check_sizes(g.rank, nodes=simple_subset)
     indices = sorted(i - 1 for i in simple_subset)
     return _pair(g, g.simple_roots, tuple(g.simple_roots[i] for i in indices),
-                 tuple(tuple(row[i] for row in g.cartan) for i in indices), "levi")
+                 tuple(g.coroot_functionals[i] for i in indices), "levi")
 
 
 def make_explicit_pair(g: RootSystem, restriction: Matrix,

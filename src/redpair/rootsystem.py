@@ -2,20 +2,24 @@
 
 Weights are coordinate tuples in the simple-root basis.  The invariant
 bilinear form is normalized so that every long root of every simple
-component has squared length 2; it is represented by the Gram matrix of
-the simple roots, from which positive roots, the Weyl vector, Weyl
-groups and the Weyl dimension formula are all derived.
+component has squared length 2.  Its Gram matrix on the simple roots comes
+from Dynkin data by one rule (``_simple_gram``), the coroot functionals
+x -> 2 (x, alpha_j) / (alpha_j, alpha_j) from it, and from those the
+positive roots, the Weyl vector, Weyl groups and the dimension formula.
 
-Weyl groups are never built as matrices.  One breadth-first walk over
-the simple reflections, acting on the orbit of a strictly dominant
-weight, yields every element as a reduced word together with its image
-of that weight; ``weyl_group``, the small Weyl group of a pair and the
-Kostant weights of a k-type are all read off that walk.  The walk runs
-in integer coroot coordinates and makes each image a ``Fraction`` once;
-the Cartan matrix and the Weyl vector are likewise formed from integer
-sums.  The walk counts nothing: its callers read the exact order off
-the root heights (``weyl_group_order``) and refuse a group over MAX_WEYL
-elements (``refuse_weyl_order``) before it starts.
+Root data, simple roots with coroot functionals (those of g, or the
+k-simple roots of a pair), have one int Cartan matrix, formed and checked
+by ``cartan_matrix`` once per process, and every reflection reads it.
+Weyl groups are never built as matrices.  One breadth-first walk over the
+simple reflections, acting on the orbit of a strictly dominant weight,
+yields every element as a reduced word together with its image of that
+weight; ``weyl_group``, the small Weyl group of a pair and the Kostant
+weights of a k-type are all read off that walk, which runs in integer
+coroot coordinates.  One int fold, ``weyl_fold``, takes a point to the
+dominant chamber, for the k-type table and the central character.  The
+walk counts nothing: its callers read the exact order off the root
+heights (``weyl_group_order``) and refuse a group over MAX_WEYL elements
+(``refuse_weyl_order``) before it starts.
 
 ``build_root_system`` builds each type once per process: it refuses a
 type over MAX_POSITIVE_ROOTS roots on every call, then returns the build
@@ -23,8 +27,8 @@ kept by an LRU cache of MAX_CACHED_TYPES types, keyed on the parsed
 ``LieType`` (so "A01" and "A1" share one entry).  A ``RootSystem`` is
 frozen and made of tuples, so every caller may share it; a build that
 raises is not kept.  It carries the positive roots twice, as weights and
-as the int tuples the closure produced, for callers that restrict them
-in integers, and its inverse Gram matrix in ints, derived once.
+as the int tuples the closure produced, and its inverse Gram matrix in
+ints, derived once.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
 
-from .linalg import Matrix, dot, mat_vec, solve
+from .linalg import Matrix, dot, mat_vec, solve, solve_integers
 from .weights import FractionTable, Weight, fmt, to_integers
 
 _FAMILY_RANKS = {
@@ -62,6 +65,7 @@ _POSITIVE_ROOT_COUNT = {
 MAX_POSITIVE_ROOTS = 200   # build_root_system refuses more (E8 has 120)
 MAX_WEYL = 1_000_000       # no Weyl group over this order is walked (|W(E7)| = 2903040)
 MAX_CACHED_TYPES = 64      # root systems kept built by build_root_system
+MAX_CACHED_K_DATA = 256    # k root data whose Cartan matrix and derived side are kept
 
 
 class CapExceeded(RuntimeError):
@@ -109,50 +113,26 @@ class LieType:
         return "x".join(f"{fam}{rank}" for fam, rank in self.components)
 
 
-def _simple_gram(family: str, n: int) -> list[list[Fraction]]:
-    """Gram matrix of the simple roots, long roots normalized to length 2."""
-    g = [[Fraction(0)] * n for _ in range(n)]
-    chain = list(range(n - 1))  # edges i -- i+1 by default
-
-    if family == "A":
-        lengths = [Fraction(2)] * n
-        off = {(i, i + 1): Fraction(-1) for i in chain}
-    elif family == "B":
-        # last simple root short
-        lengths = [Fraction(2)] * (n - 1) + [Fraction(1)]
-        off = {(i, i + 1): Fraction(-1) for i in chain}
-    elif family == "C":
-        # last simple root long
-        lengths = [Fraction(1)] * (n - 1) + [Fraction(2)]
-        off = {(i, i + 1): Fraction(-1, 2) for i in range(n - 2)}
-        off[(n - 2, n - 1)] = Fraction(-1)
-    elif family == "D":
-        lengths = [Fraction(2)] * n
-        off = {(i, i + 1): Fraction(-1) for i in range(n - 2)}
-        off[(n - 3, n - 1)] = Fraction(-1)
-        off.pop((n - 2, n - 1), None)
-    elif family == "E":
-        # Bourbaki numbering: chain 1-3-4-5-...-n with node 2 attached to 4
-        lengths = [Fraction(2)] * n
-        off = {}
-        chain_nodes = [0] + list(range(2, n))
-        for a, b in zip(chain_nodes, chain_nodes[1:]):
-            off[(a, b)] = Fraction(-1)
-        off[(1, 3)] = Fraction(-1)
-    elif family == "F":
-        lengths = [Fraction(2), Fraction(2), Fraction(1), Fraction(1)]
-        off = {(0, 1): Fraction(-1), (1, 2): Fraction(-1), (2, 3): Fraction(-1, 2)}
-    elif family == "G":
-        lengths = [Fraction(2, 3), Fraction(2)]
-        off = {(0, 1): Fraction(-1)}
-    else:  # pragma: no cover
-        raise ValueError(family)
-
-    for i in range(n):
-        g[i][i] = lengths[i]
-    for (i, j), v in off.items():
-        g[i][j] = v
-        g[j][i] = v
+def _simple_gram(lie_type: LieType) -> list[list[Fraction]]:
+    """Gram matrix of the simple roots from the Dynkin diagram of each
+    component (Bourbaki numbering), long roots of squared length 2: an edge
+    i -- j carries -max(|alpha_i|^2, |alpha_j|^2) / 2, so -1 for a double or
+    triple bond and -|alpha|^2 / 2 for a single one."""
+    lengths, edges = [], []
+    for family, n in lie_type.components:
+        chain = [(i, i + 1) for i in range(n - 1)]
+        if family == "D":
+            chain[-1] = (n - 3, n - 1)
+        elif family == "E":     # the chain 1-3-4-...-n, with node 2 on node 4
+            chain[:2] = [(0, 2), (1, 3)]
+        edges += [(len(lengths) + i, len(lengths) + j) for i, j in chain]
+        lengths += {"B": [2] * (n - 1) + [1], "C": [1] * (n - 1) + [2], "F": [2, 2, 1, 1],
+                    "G": [Fraction(2, 3), 2]}.get(family, [2] * n)
+    g = [[Fraction(0)] * len(lengths) for _ in lengths]
+    for i, v in enumerate(lengths):
+        g[i][i] = Fraction(v)
+    for i, j in edges:
+        g[i][j] = g[j][i] = Fraction(max(lengths[i], lengths[j]), -2)
     return g
 
 
@@ -160,7 +140,8 @@ def _simple_gram(family: str, n: int) -> list[list[Fraction]]:
 class RootSystem:
     lie_type: LieType
     gram: Matrix
-    cartan: Matrix  # cartan[i][j] = <alpha_i, alpha_j-coroot>
+    cartan: tuple[tuple[int, ...], ...]   # cartan[i][j] = <alpha_i, alpha_j-coroot>
+    coroot_functionals: tuple[Weight, ...]  # x -> <x, alpha_j-coroot>, column j of cartan
     simple_roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
     positive_integers: tuple[tuple[int, ...], ...]  # the same, as int tuples
@@ -172,8 +153,8 @@ class RootSystem:
 
     @cached_property
     def gram_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """G^{-1} as int rows over one common denominator, and that denominator."""
-        rows, den = to_integers(solve(self.gram, self.simple_roots))
+        """G^{-1} as int rows over one denominator, and that denominator."""
+        rows, den = solve_integers(self.gram, self.simple_roots)
         return tuple(map(tuple, rows)), den
 
     @cached_property
@@ -189,9 +170,7 @@ class RootSystem:
         return dot(x, mat_vec(self.gram, y))
 
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
-        """<x, alpha_i-coroot> = sum_j x_j cartan[j][i], since
-        cartan[j][i] = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)."""
-        return sum(a * row[i] for a, row in zip(x, self.cartan))
+        return dot(self.coroot_functionals[i], x)
 
     def from_fundamental(self, coords: Weight) -> Weight:
         """Convert fundamental-weight coordinates to simple-root coordinates.
@@ -201,7 +180,57 @@ class RootSystem:
         """
         if len(coords) != self.rank:
             raise ValueError("coordinate length does not match rank")
-        return tuple(x for (x,) in solve(tuple(zip(*self.cartan)), [(c,) for c in coords]))
+        return tuple(x for (x,) in solve(self.coroot_functionals, [(c,) for c in coords]))
+
+
+@lru_cache(maxsize=MAX_CACHED_TYPES + MAX_CACHED_K_DATA)
+def cartan_matrix(simple_roots: tuple[Weight, ...],
+                  functionals: tuple[Weight, ...]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of root data, entry (i, j) = <sigma_i, sigma_j-coroot>,
+    formed in ints once per process for each (simple roots, coroot
+    functionals).  It must be a generalized Cartan matrix: integers, 2 on
+    the diagonal, no positive entry off it, and entry (i, j) zero exactly
+    when entry (j, i) is."""
+    (sigmas, sigma_den), (funs, fun_den) = to_integers(simple_roots), to_integers(functionals)
+    q = sigma_den * fun_den
+    cartan = [[dot(s, f) for f in funs] for s in sigmas]
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v % q:
+                raise ValueError(
+                    f"non-integral coroot pairing {Fraction(v, q)} between k-simple roots "
+                    f"{fmt(simple_roots[i])} and {fmt(simple_roots[j])}"
+                )
+            if i == j and v != 2 * q:
+                raise ValueError(f"k-simple root {fmt(simple_roots[i])} pairs to {v // q} != 2 "
+                                 "with its own coroot")
+            if i != j and v > 0:
+                raise ValueError("positive off-diagonal Cartan entry in k root data")
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v == 0 != cartan[j][i]:
+                raise ValueError(f"k Cartan entry ({i + 1}, {j + 1}) is 0 but ({j + 1}, {i + 1}) "
+                                 f"is {cartan[j][i] // q}: not a generalized Cartan matrix")
+    return tuple(tuple([v // q for v in row]) for row in cartan)
+
+
+def weyl_fold(c: list[int], cartan) -> tuple[list[int], int]:
+    """Fold a point into the dominant chamber by simple reflections: while a
+    coroot coordinate c_i = <y, sigma_i-coroot> (in any one integer scale) is
+    negative, reflect in sigma_i, c -> c - c_i cartan[i].  Returns the
+    displacement a, in that scale, with the dominant point y - sum_i a_i
+    sigma_i, and the number of reflections, which is the number of positive
+    roots that pair negatively with y, so the length of the folding element."""
+    a, count = [0] * len(c), 0
+    while True:
+        for i, ci in enumerate(c):
+            if ci < 0:
+                a[i] += ci
+                c = [u - ci * v for u, v in zip(c, cartan[i])]
+                count += 1
+                break
+        else:
+            return a, count
 
 
 def _root_closure(a: list[list[int]],
@@ -268,19 +297,13 @@ def build_root_system(t: LieType | str) -> RootSystem:
 
 @lru_cache(maxsize=MAX_CACHED_TYPES)
 def _build_root_system(lie_type: LieType) -> RootSystem:
-    rank = lie_type.rank
-    gram = [[Fraction(0)] * rank for _ in range(rank)]
-    offset = 0
-    for family, n in lie_type.components:
-        for i, row in enumerate(_simple_gram(family, n)):
-            gram[offset + i][offset:offset + n] = row
-        offset += n
-
-    # 6 (alpha_i, alpha_j) is an integer for every family (lengths 2/3,
-    # 1 and 2, off-diagonal entries -1/2 and -1); the Cartan entries
-    # 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) are integer quotients of it
-    g6 = [[6 * v.numerator // v.denominator for v in row] for row in gram]
-    a = [[2 * g6[i][j] // g6[j][j] for j in range(rank)] for i in range(rank)]
+    rank, gram = lie_type.rank, _simple_gram(lie_type)
+    fractions = FractionTable(1)
+    simple = tuple(tuple(fractions[int(j == i)] for j in range(rank)) for i in range(rank))
+    g, _ = to_integers(gram)     # functional j: x -> 2 (x, alpha_j) / (alpha_j, alpha_j)
+    functionals = tuple(tuple(fractions[2 * g[i][j] // g[j][j]] for i in range(rank))
+                        for j in range(rank))
+    a = cartan_matrix(simple, functionals)
     roots = _root_closure(a)
     expected = _positive_root_count(lie_type)
     if len(roots) != expected:
@@ -289,41 +312,32 @@ def _build_root_system(lie_type: LieType) -> RootSystem:
             f"expected {expected}"
         )
 
-    fractions = FractionTable(1)
-    total = [sum(column) for column in zip(*roots)]
-
     return RootSystem(
         lie_type=lie_type,
         gram=tuple(tuple(row) for row in gram),
-        cartan=tuple(tuple(fractions[v] for v in row) for row in a),
-        simple_roots=tuple(tuple(fractions[int(j == i)] for j in range(rank))
-                           for i in range(rank)),
-        positive_roots=tuple(tuple(fractions[c] for c in r) for r in roots),
+        cartan=a,
+        coroot_functionals=functionals,
+        simple_roots=simple,
+        positive_roots=tuple([tuple(map(fractions.__getitem__, r)) for r in roots]),
         positive_integers=tuple(roots),
-        rho_tilde=tuple(Fraction(t, 2) for t in total),
+        rho_tilde=tuple([Fraction(sum(column), 2) for column in zip(*roots)]),
     )
 
 
-def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing):
+def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...],
+                 functionals: tuple[Weight, ...]):
     """The breadth-first walk of ``reflection_orbit`` in integer coroot
     coordinates.  Returns (scale, nodes), each node (word, a) with
     w x = x - sum_i a_i sigma_i / scale.  It walks the whole group: the
     callers refuse one over MAX_WEYL elements by its order first."""
-    n = len(simple_roots)
-    pairings = [coroot_pairing(x, i) for i in range(n)]
+    pairings = [dot(f, x) for f in functionals]
     for i, c in enumerate(pairings):
         if c <= 0:
             raise ValueError(f"orbit base point {fmt(x)} is not strictly dominant: "
                              f"coroot pairing {c} at simple root {i + 1}")
-    cartan = [[coroot_pairing(sigma, j) for j in range(n)] for sigma in simple_roots]
-    for i, row in enumerate(cartan):
-        for j, v in enumerate(row):
-            if v.denominator != 1:
-                raise ValueError(f"coroot pairing {v} of simple roots {i + 1} and "
-                                 f"{j + 1} is not an integer")
-    cartan = [[int(v) for v in row] for row in cartan]
+    cartan = cartan_matrix(simple_roots, functionals)
     (start,), scale = to_integers([pairings])
-    nodes = [((), (0,) * n)]
+    nodes = [((), (0,) * len(functionals))]
     level = {tuple(start): nodes[0]}
     while level:
         nxt: dict = {}
@@ -341,11 +355,11 @@ def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...], coroot_pairing):
 
 
 def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
-                     coroot_pairing) -> list[tuple[tuple[int, ...], Weight]]:
+                     functionals: tuple[Weight, ...]) -> list[tuple[tuple[int, ...], Weight]]:
     """The Weyl orbit of a strictly dominant x as (reduced word, w x) pairs,
     breadth-first under y -> y - <y, sigma_i-coroot> sigma_i.
 
-    ``coroot_pairing(y, i)`` is <y, sigma_i-coroot>.  A word is read right
+    ``functionals[i]`` is y -> <y, sigma_i-coroot>.  A word is read right
     to left: (i, j) is s_i s_j.  A strictly dominant x has a trivial
     stabiliser, so the orbit is in bijection with the group, and s_i w is
     longer than w exactly when <w x, sigma_i-coroot> > 0.  Each level is
@@ -354,14 +368,14 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
 
     The walk runs on the coroot coordinates c_j = <y, sigma_j-coroot>,
     scaled by their common denominator into integers, under
-    c -> c - c_i A_i with A[i][j] = <sigma_i, sigma_j-coroot>, which must
-    be an integer.  Within one orbit c determines y: y - x lies in the
-    span of the sigma_i, on which A is nondegenerate.  Each point carries
-    its displacement a, with a_i increased by c_i at each reflection s_i,
-    so that w x = x - sum_i a_i sigma_i; the points are recovered from it
-    once, at the end, in integers scaled by one common denominator.
+    c -> c - c_i A_i with A = ``cartan_matrix(simple_roots, functionals)``.
+    Within one orbit c determines y: y - x lies in the span of the sigma_i,
+    on which A is nondegenerate.  Each point carries its displacement a,
+    with a_i increased by c_i at each reflection s_i, so that w x = x -
+    sum_i a_i sigma_i; the points are recovered from it once, at the end,
+    in integers scaled by one common denominator.
     """
-    scale, nodes = _coroot_walk(x, simple_roots, coroot_pairing)
+    scale, nodes = _coroot_walk(x, simple_roots, functionals)
     orbit = [((), x)]
     if len(nodes) == 1:
         return orbit
@@ -369,14 +383,10 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
     den = math.lcm(scale * sigma_den, *(v.denominator for v in x))
     base = [v.numerator * (den // v.denominator) for v in x]
     factor = den // (scale * sigma_den)
-    fractions = FractionTable(den)
+    fractions, columns = FractionTable(den), list(zip(*sigmas))
     for word, a in nodes[1:]:
-        shift = [0] * len(x)
-        for ai, sigma in zip(a, sigmas):
-            if ai:
-                shift = [s + ai * v for s, v in zip(shift, sigma)]
-        orbit.append((word, tuple([fractions[b - factor * s]
-                                   for b, s in zip(base, shift)])))
+        orbit.append((word, tuple([fractions[b - factor * dot(a, column)]
+                                   for b, column in zip(base, columns)])))
     return orbit
 
 
@@ -391,7 +401,7 @@ class WeylElement:
 
     word: tuple[int, ...]
     simple_roots: tuple[Weight, ...] = field(repr=False, compare=False)
-    coroot_pairing: Callable[[Weight, int], Fraction] = field(repr=False, compare=False)
+    coroot_functionals: tuple[Weight, ...] = field(repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -399,17 +409,18 @@ class WeylElement:
 
     def apply(self, x: Weight) -> Weight:
         for i in reversed(self.word):   # x - <x, sigma_i-coroot> sigma_i
-            c = self.coroot_pairing(x, i)
+            c = dot(self.coroot_functionals[i], x)
             x = tuple(a - c * b for a, b in zip(x, self.simple_roots[i]))
         return x
 
 
-def enumerate_reflection_group(simple_roots: tuple[Weight, ...], coroot_pairing,
+def enumerate_reflection_group(simple_roots: tuple[Weight, ...],
+                               functionals: tuple[Weight, ...],
                                rho: Weight) -> list[WeylElement]:
     """Every element of the group generated by the simple reflections,
     read off the orbit of the strictly dominant rho; depth equals length."""
-    _, nodes = _coroot_walk(rho, simple_roots, coroot_pairing)
-    return [WeylElement(word, simple_roots, coroot_pairing) for word, _ in nodes]
+    _, nodes = _coroot_walk(rho, simple_roots, functionals)
+    return [WeylElement(word, simple_roots, functionals) for word, _ in nodes]
 
 
 def weyl_group(rs: RootSystem) -> list[WeylElement]:
@@ -417,7 +428,7 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     rank; a group over MAX_WEYL elements (E7, E8, D8, ...) is refused by
     its exact order before the walk."""
     refuse_weyl_order(weyl_group_order(rs.positive_roots))
-    return enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, rs.rho_tilde)
+    return enumerate_reflection_group(rs.simple_roots, rs.coroot_functionals, rs.rho_tilde)
 
 
 def weyl_dim_from_roots(rs: RootSystem, rows, highest: Weight) -> int:

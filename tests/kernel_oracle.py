@@ -1,5 +1,6 @@
 """The ``Fraction`` versions of the integer kernels, kept as their oracles:
-the orbit walk on weight vectors and the fold to the dominant chamber,
+the Gram matrix of each simple type written out family by family, the
+orbit walk on weight vectors and the fold to the dominant chamber,
 Gauss-Jordan inversion and the matrix product over the rationals, and the
 root split that restricts every root on each call; and the root closure by
 root strings, which sums each candidate's coroot pairing over the whole
@@ -8,6 +9,54 @@ rank."""
 from fractions import Fraction
 
 from redpair.weights import WeightMultiset, neg
+
+
+def simple_gram(family, n):
+    """Gram matrix of the simple roots of one simple type, long roots of
+    squared length 2, written out family by family with each bond's entry."""
+    g = [[Fraction(0)] * n for _ in range(n)]
+    chain = list(range(n - 1))  # edges i -- i+1 by default
+
+    if family == "A":
+        lengths = [Fraction(2)] * n
+        off = {(i, i + 1): Fraction(-1) for i in chain}
+    elif family == "B":
+        # last simple root short
+        lengths = [Fraction(2)] * (n - 1) + [Fraction(1)]
+        off = {(i, i + 1): Fraction(-1) for i in chain}
+    elif family == "C":
+        # last simple root long
+        lengths = [Fraction(1)] * (n - 1) + [Fraction(2)]
+        off = {(i, i + 1): Fraction(-1, 2) for i in range(n - 2)}
+        off[(n - 2, n - 1)] = Fraction(-1)
+    elif family == "D":
+        lengths = [Fraction(2)] * n
+        off = {(i, i + 1): Fraction(-1) for i in range(n - 2)}
+        off[(n - 3, n - 1)] = Fraction(-1)
+        off.pop((n - 2, n - 1), None)
+    elif family == "E":
+        # Bourbaki numbering: chain 1-3-4-5-...-n with node 2 attached to 4
+        lengths = [Fraction(2)] * n
+        off = {}
+        chain_nodes = [0] + list(range(2, n))
+        for a, b in zip(chain_nodes, chain_nodes[1:]):
+            off[(a, b)] = Fraction(-1)
+        off[(1, 3)] = Fraction(-1)
+    elif family == "F":
+        lengths = [Fraction(2), Fraction(2), Fraction(1), Fraction(1)]
+        off = {(0, 1): Fraction(-1), (1, 2): Fraction(-1), (2, 3): Fraction(-1, 2)}
+    elif family == "G":
+        lengths = [Fraction(2, 3), Fraction(2)]
+        off = {(0, 1): Fraction(-1)}
+    else:
+        raise ValueError(family)
+
+    for i in range(n):
+        g[i][i] = lengths[i]
+    for (i, j), v in off.items():
+        g[i][j] = v
+        g[j][i] = v
+    return g
 
 
 def reflection_orbit(x, simple_roots, coroot_pairing):
@@ -58,7 +107,7 @@ def inverse(a):
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+    aug = [list(map(Fraction, row)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)

@@ -43,9 +43,7 @@ def _scaled(restriction: Matrix, restricted: tuple[Weight, ...]) -> tuple[tuple[
 def _weyl_size(k_simple, functionals, rho: Weight) -> int:
     """|W_k|, the number of elements the simple reflections generate on the
     orbit of rho."""
-    def pairing(x: Weight, i: int) -> Fraction:
-        return sum(a * b for a, b in zip(functionals[i], x))
-    return len(enumerate_reflection_group(k_simple, pairing, rho))
+    return len(enumerate_reflection_group(k_simple, functionals, rho))
 
 
 def _restrict_positive(g: RootSystem, restriction: Matrix) -> tuple[Weight, ...]:

@@ -1,6 +1,6 @@
 """The integer kernels of the root and Weyl machinery against their
-``Fraction`` versions in kernel_oracle: the orbit walk in coroot
-coordinates, the integer-scaled solve against Gauss-Jordan inversion and
+``Fraction`` versions in kernel_oracle: the orbit walk and the fold in
+coroot coordinates, the integer-scaled solve against Gauss-Jordan inversion and
 the product, the restrictions stored once per pair, and the root split
 that reads them; and the root closure by raising reflections against the
 one by root strings."""
@@ -15,7 +15,7 @@ import pytest
 import kernel_oracle
 from redpair.cli import main
 from redpair.fundseries import kostant_weights
-from redpair.linalg import mat_vec, solve
+from redpair.linalg import dot, mat_vec, solve
 from redpair.parabolic import is_regular, split_roots
 from redpair.reductive import (
     make_cartan_pair,
@@ -27,8 +27,10 @@ from redpair.rootsystem import (
     CapExceeded,
     _root_closure,
     build_root_system,
+    cartan_matrix,
     enumerate_reflection_group,
     reflection_orbit,
+    weyl_fold,
     weyl_group,
     weyl_group_order,
 )
@@ -53,7 +55,7 @@ def test_weyl_group_walk_matches_fraction_walk(name):
     rs = build_root_system(name)
     expected = kernel_oracle.reflection_orbit(rs.rho_tilde, rs.simple_roots,
                                               rs.coroot_pairing)
-    assert reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_pairing) == expected
+    assert reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_functionals) == expected
     assert [w.word for w in weyl_group(rs)] == [word for word, _ in expected]
 
 
@@ -63,7 +65,7 @@ def test_kostant_weights_match_fraction_walk(case):
     for delta in (zero(p.rank_t), p.restrict(add(p.g.rho_tilde, p.g.rho_tilde))):
         x = add(delta, p.rho)
         expected = kernel_oracle.reflection_orbit(x, p.k_simple_roots, p.coroot_pairing)
-        assert reflection_orbit(x, p.k_simple_roots, p.coroot_pairing) == expected
+        assert reflection_orbit(x, p.k_simple_roots, p.k_coroot_functionals) == expected
         assert kostant_weights(p, delta) == \
             sorted((len(word), sub(y, p.rho)) for word, y in expected)
 
@@ -73,9 +75,9 @@ def test_orbit_of_a_fractional_point_and_its_cap(monkeypatch):
     x = (Fraction(5, 2), Fraction(13, 3), Fraction(31, 6))
     assert all(rs.coroot_pairing(x, i) > 0 for i in range(3))
     expected = kernel_oracle.reflection_orbit(x, rs.simple_roots, rs.coroot_pairing)
-    assert reflection_orbit(x, rs.simple_roots, rs.coroot_pairing) == expected
+    assert reflection_orbit(x, rs.simple_roots, rs.coroot_functionals) == expected
     # the group enumeration runs the same walk from x
-    assert len(enumerate_reflection_group(rs.simple_roots, rs.coroot_pairing, x)) == 48
+    assert len(enumerate_reflection_group(rs.simple_roots, rs.coroot_functionals, x)) == 48
 
     # the cap of the group enumeration is checked by exact order, before
     # the walk: |W(E8)| = 696729600
@@ -92,12 +94,74 @@ def test_orbit_needs_integral_pairings_between_simple_roots():
     # an A2 diagram with the coroots rescaled: A = [[2, -1/2], [-2, 2]]
     columns = ((Fraction(2), Fraction(-2)), (Fraction(-1, 2), Fraction(2)))
     simple = (vec(1, 0), vec(0, 1))
+    with pytest.raises(ValueError, match="non-integral coroot pairing -1/2"):
+        reflection_orbit(vec(2, 1), simple, columns)
 
-    def pairing(y, i):
-        return sum(a * b for a, b in zip(y, columns[i]))
 
-    with pytest.raises(ValueError, match="is not an integer"):
-        reflection_orbit(vec(2, 1), simple, pairing)
+SIMPLE_UP_TO_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+                  "F4", "G2"]
+# every type of rank <= 4: the simple ones and every product of them
+FOLD_TYPES = ["x".join(parts) for size in range(1, 5)
+              for parts in itertools.combinations_with_replacement(SIMPLE_UP_TO_4, size)
+              if sum(int(part[1:]) for part in parts) <= 4]
+
+
+def _ambient_case(name):
+    # integral weights from random fundamental-weight coordinates
+    rs = build_root_system(name)
+    return (rs.simple_roots, rs.coroot_functionals, rs.positive_roots, rs.pair,
+            lambda rng: rs.from_fundamental([rng.randint(-6, 6) for _ in range(rs.rank)]))
+
+
+def _k_case(p, square):
+    # integral weights: random coroot coordinates when the functionals are
+    # a basis of the dual, else random ints in the simple roots of g
+    def sample(rng):
+        if square:
+            c = [(rng.randint(-6, 6),) for _ in range(p.rank_t)]
+            return tuple(v for (v,) in solve(p.k_coroot_functionals, c))
+        return vec(*(rng.randint(-4, 4) for _ in range(p.rank_t)))
+    return p.k_simple_roots, p.k_coroot_functionals, p.k_positive_roots, p.t_pair, sample
+
+
+FOLD_CASES = {name: (lambda name=name: _ambient_case(name)) for name in FOLD_TYPES}
+FOLD_CASES.update({
+    "A3-levi-13": lambda: _k_case(make_levi_pair(build_root_system("A3"), {1, 3}), False),
+    "B3-levi-12": lambda: _k_case(make_levi_pair(build_root_system("B3"), {1, 2}), False),
+    "C3-levi-23": lambda: _k_case(make_levi_pair(build_root_system("C3"), {2, 3}), False),
+    "G2-levi-2": lambda: _k_case(make_levi_pair(build_root_system("G2"), {2}), False),
+    "B2-sl2-22": lambda: _k_case(make_sl2_pair(build_root_system("B2"), [2, 2]), True),
+    "A3-sl2-101": lambda: _k_case(make_sl2_pair(build_root_system("A3"), [1, 0, 1]), True),
+    # the full Levi of A2 in doubled coordinates: functionals with denominator 2
+    "A2-doubled-explicit": lambda: _k_case(make_explicit_pair(
+        build_root_system("A2"), [[2, 0], [0, 2]], [vec(2, 0), vec(0, 2)],
+        [vec(1, "-1/2"), vec("-1/2", 1)]), True),
+})
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_weyl_fold_matches_the_fraction_fold(case):
+    # the int fold lands where the Fraction fold does, and reflects once per
+    # positive root that pairs negatively with x, which is the length of the
+    # folding element: for a regular x, the length of the word of x in the
+    # orbit walk from its dominant point
+    simple, functionals, positive, form, sample = FOLD_CASES[case]()
+    cartan, rng, walked = cartan_matrix(simple, functionals), random.Random(case), 0
+    assert any(f.denominator == 2 for row in functionals for f in row) == ("doubled" in case)
+    for _ in range(60):
+        x = sample(rng)
+        c = [dot(f, x) for f in functionals]
+        assert all(v.denominator == 1 for v in c)
+        a, count = weyl_fold([int(v) for v in c], cartan)
+        z = tuple(u - dot(a, column) for u, column in zip(x, zip(*simple)))
+        assert z == kernel_oracle.fold_dominant(
+            x, simple, lambda y, i: dot(functionals[i], y))
+        assert count == sum(form(x, beta) < 0 for beta in positive)
+        if walked < 3 and all(dot(f, z) > 0 for f in functionals):
+            words = [word for word, y in reflection_orbit(z, simple, functionals) if y == x]
+            assert len(words) == 1 and len(words[0]) == count
+            walked += 1
+    assert walked == 3 or not simple
 
 
 def test_coroot_pairing_is_the_gram_quotient():

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+import kernel_oracle
 from redpair.rootsystem import (
     MAX_POSITIVE_ROOTS,
     MAX_WEYL,
     CapExceeded,
     LieType,
+    _positive_root_count,
     _root_closure,
+    _simple_gram,
     build_root_system,
     weyl_dim,
     weyl_group,
@@ -26,6 +29,35 @@ CLASSICAL_COUNTS = {
 def test_positive_root_counts(name, count):
     rs = build_root_system(name)
     assert len(rs.positive_roots) == count
+
+
+GRAM_TYPES = ([f"A{n}" for n in range(1, 20)] + [f"B{n}" for n in range(2, 20)]
+              + [f"C{n}" for n in range(2, 20)] + [f"D{n}" for n in range(3, 20)]
+              + ["E6", "E7", "E8", "F4", "G2", "A1xA1", "B2xG2", "G2xA1xB3xA1"])
+
+
+@pytest.mark.parametrize("name", GRAM_TYPES)
+def test_gram_and_cartan_match_the_tables_written_out_by_family(name):
+    # the Dynkin rule against the Gram matrices written out family by
+    # family, block-diagonal over the components; the Cartan matrix and the
+    # coroot functionals of every type under the root cap against 2 g_ij / g_jj
+    lie_type = LieType.parse(name)
+    rank = lie_type.rank
+    expected = [[Fraction(0)] * rank for _ in range(rank)]
+    offset = 0
+    for family, n in lie_type.components:
+        for i, row in enumerate(kernel_oracle.simple_gram(family, n)):
+            expected[offset + i][offset:offset + n] = row
+        offset += n
+    assert _simple_gram(lie_type) == expected
+    if _positive_root_count(lie_type) > MAX_POSITIVE_ROOTS:
+        return
+    rs = build_root_system(lie_type)
+    cartan = [[2 * expected[i][j] / expected[j][j] for j in range(rank)] for i in range(rank)]
+    assert rs.gram == tuple(map(tuple, expected))
+    assert rs.cartan == tuple(map(tuple, cartan))
+    assert all(type(v) is int for row in rs.cartan for v in row)
+    assert rs.coroot_functionals == tuple(zip(*cartan))
 
 
 def test_invalid_types_rejected():

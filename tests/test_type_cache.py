@@ -1,6 +1,7 @@
-"""The per-process caches of root systems (by type) and of the k side of a
-pair (by k root data): shared builds equal fresh ones, refusals are never
-kept, both caches are bounded, and the order in which jobs run cannot
+"""The per-process caches of root systems (by type), of Cartan matrices
+(by root data) and of the k side of a pair (by k root data): shared builds
+equal fresh ones, each Cartan matrix is formed once, refusals are never
+kept, the caches are bounded, and the order in which jobs run cannot
 change any answer."""
 
 import contextlib
@@ -14,7 +15,7 @@ from redpair import CapExceeded, LieType, RootSystem, build_root_system
 from redpair import reductive, rootsystem
 from redpair.cli import main
 
-CACHES = (rootsystem._build_root_system, reductive._k_side)
+CACHES = (rootsystem._build_root_system, rootsystem.cartan_matrix, reductive._k_side)
 
 TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
          + [f"C{n}" for n in range(3, 7)] + [f"D{n}" for n in range(4, 7)]
@@ -69,8 +70,25 @@ def test_refused_k_data_is_raised_on_every_call_and_never_kept():
 def test_caches_are_bounded():
     assert rootsystem._build_root_system.cache_info().maxsize == rootsystem.MAX_CACHED_TYPES
     assert reductive._k_side.cache_info().maxsize == reductive.MAX_CACHED_K_DATA
+    assert rootsystem.cartan_matrix.cache_info().maxsize == (rootsystem.MAX_CACHED_TYPES
+                                                             + reductive.MAX_CACHED_K_DATA)
     for cache in CACHES:
         assert 0 < cache.cache_info().maxsize < 10_000
+
+
+def test_each_cartan_matrix_is_formed_once_per_root_datum(tmp_path):
+    # the build forms the ambient one and the k side the k one; the orbit
+    # walks, the table's fold and the central character's fold read them
+    clear_caches()
+    path = tmp_path / "c3.cfg"
+    path.write_text("lie_type = C3\nk = levi\nnodes = [2, 3]\ncommand = verify\n"
+                    "nu_basis = fundamental\nnu = [-5, 0, 0]\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", str(path), "--emit", "machine"]) == 0
+    g = build_root_system("C3")
+    rootsystem.weyl_group(g)
+    reductive.make_levi_pair(g, {2, 3}).k_weyl_group()
+    assert rootsystem.cartan_matrix.cache_info().misses == 2
 
 
 def test_pairs_with_the_same_k_data_share_the_k_side():

@@ -34,7 +34,7 @@ def test_weyl_group_matches_matrix_oracle(name):
     group = weyl_group(rs)
     assert len(group) == len(oracle)
     # each word, read right to left, carries rho_tilde to its orbit point
-    orbit = reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_pairing)
+    orbit = reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_functionals)
     assert [w.apply(rs.rho_tilde) for w in group] == [y for _, y in orbit]
     for x in (rs.rho_tilde, off_chamber(rs.rank)):
         assert sorted((w.length, w.apply(x)) for w in group) == images(oracle, x)
@@ -82,8 +82,8 @@ def test_k_weyl_group_and_kostant_weights_match_matrix_oracle(case):
 def test_orbit_needs_a_strictly_dominant_base_point(monkeypatch):
     rs = build_root_system("A2")
     with pytest.raises(ValueError):
-        reflection_orbit(vec(1, 0), rs.simple_roots, rs.coroot_pairing)
-    orbit = reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_pairing)
+        reflection_orbit(vec(1, 0), rs.simple_roots, rs.coroot_functionals)
+    orbit = reflection_orbit(rs.rho_tilde, rs.simple_roots, rs.coroot_functionals)
     assert [len(word) for word, _ in orbit] == [0, 1, 1, 2, 2, 3]
 
     # |W(E7)| = 2903040 exceeds MAX_WEYL: refused by its order, not walked
