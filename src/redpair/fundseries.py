@@ -43,9 +43,10 @@ from .linalg import dot
 from .parabolic import (CompatibleParabolic, _grading, _n_cap_kperp, compatible_parabolic,
                         split_roots)
 from .reductive import ReductivePair
-from .rootsystem import (CapExceeded, RootSystem, cartan_matrix, reflection_orbit,
-                         refuse_weyl_order, weyl_dim_from_roots, weyl_fold)
-from .weights import FractionTable, Weight, WeightMultiset, add, fmt, scale, sub, to_integers
+from .rootsystem import (CapExceeded, RootSystem, reflection_orbit, refuse_weyl_order,
+                         root_datum, weyl_dim_from_roots, weyl_fold)
+from .weights import (FractionTable, Weight, WeightMultiset, add, check_rank, fmt, scale, sub,
+                      to_integers)
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ class PartitionCounter:
         if generators.rank != self.rank:
             raise ValueError(f"expected generators of rank {self.rank}, "
                              f"got rank {generators.rank}")
-        self._check_rank(grading)
+        check_rank(grading, self.rank)
         self._ell, _ = _grading(p, grading)
         self._scale = generators.integers[1]
         # largest step first; the sort is stable, so ties keep weight order
@@ -245,10 +246,6 @@ class PartitionCounter:
         self._down = [(tuple(-c for c in beta), -step, mult)
                       for beta, step, mult in self._steps]
         self._dead = _orthant([beta for beta, _, _ in self._steps], self._ell)
-
-    def _check_rank(self, x: Weight) -> None:
-        if len(x) != self.rank:
-            raise ValueError(f"expected a weight of rank {self.rank}, got length {len(x)}")
 
     def count(self, target: Weight) -> int:
         return self.counts([target])[0]
@@ -259,7 +256,7 @@ class PartitionCounter:
         starts: dict[tuple[int, ...], int] = {}
         keys: list[tuple[int, ...] | None] = []
         for target in targets:
-            self._check_rank(target)
+            check_rank(target, self.rank)
             scaled = [c * self._scale for c in target]
             x = None
             if all(c.denominator == 1 for c in scaled):
@@ -397,8 +394,8 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     """
     _check_series_inputs(p, parab, e)
     cutoff = Fraction(cutoff)
-    sigmas, sig_den = to_integers(p.k_simple_roots)
-    funs, fun_den = to_integers(p.k_coroot_functionals)
+    k = root_datum(p.k_simple_roots, p.k_coroot_functionals)
+    cartan, (sigmas, sig_den), (funs, fun_den) = k.cartan, k.simple_integers, k.functional_integers
     q = sig_den * fun_den
     (mu_rho, rho), base = to_integers([add(e.mu, p.rho), p.rho])
     generators = parab.ch_t_n_cap_kperp
@@ -442,7 +439,6 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
     del points                  # before the fold
 
     # the fold of each point, from its pairings c = fun_den D <y, sigma_j-coroot>
-    cartan = cartan_matrix(p.k_simple_roots, p.k_coroot_functionals)
     folded: dict[tuple[int, ...], int] = {}
     for y, n in count.items():
         c = [sum(map(operator.mul, f, y)) for f in funs]

@@ -13,16 +13,12 @@ the rest once:
 - the restriction of every positive root of the ambient algebra, as int
   rows scaled by the common denominator of the restriction and as weights,
   multiplied out in ints from the root system's int tuples;
-- the k-positive roots, the closure under raising simple reflections of
-  the k Cartan matrix (``rootsystem.cartan_matrix``, which must find a
-  generalized Cartan matrix), combined with the k-simple roots; rho, half
-  their sum; and |W_k|, read off the heights of the closure.  These depend
-  on the k root data alone, so they are derived once per process for each
-  (k-simple roots, coroot functionals, rank, root cap) and shared: the
-  sl2 pairs over one type share one entry, the Levi pairs one per type
-  and node set.
-  The LRU cache keeps MAX_CACHED_K_DATA entries of tuples, which no caller
-  can change, and keeps nothing from data that is refused.
+- the k-positive roots, rho (half their sum, zero when there are none) and
+  |W_k|, read off ``rootsystem.root_datum`` of the k root data, which must
+  have a generalized Cartan matrix of finite type.  They depend on the k
+  root data alone, so they are derived once per process for each datum
+  and shared: the sl2 pairs of every type share one entry, the Levi pairs
+  one per type and node set, and a full Levi pair reads the datum of g.
 
 When the restriction is the identity, which the constructor reads off the
 matrix itself, the section is the identity, the induced form is the
@@ -40,20 +36,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .linalg import Matrix, dot, mat_vec, solve, to_integers
 from .rootsystem import (
-    MAX_CACHED_K_DATA,
     RootSystem,
     WeylElement,
-    _root_closure,
-    cartan_matrix,
+    _images,
     enumerate_reflection_group,
     refuse_weyl_order,
-    weyl_group_order,
+    root_datum,
 )
-from .weights import FractionTable, Weight, WeightMultiset, fmt, neg, weight
+from .weights import Weight, WeightMultiset, check_rank, fmt, neg, weight, zero
 
 
 @dataclass(frozen=True)
@@ -93,18 +87,12 @@ class ReductivePair:
         return sum(map(any, self.restricted_integers))
 
     def restrict(self, x: Weight) -> Weight:
-        if len(x) != self.g.rank:
-            raise ValueError(
-                f"expected a weight of rank {self.g.rank}, got length {len(x)}"
-            )
+        check_rank(x, self.g.rank)
         (rows, den), ((x_row,), x_den) = self.restriction_integers, to_integers([x])
         return tuple([Fraction(dot(row, x_row), den * x_den) for row in rows])
 
     def lift_weight(self, y: Weight) -> Weight:
-        if len(y) != self.rank_t:
-            raise ValueError(
-                f"expected a weight of rank {self.rank_t}, got length {len(y)}"
-            )
+        check_rank(y, self.rank_t)
         return mat_vec(self.lift, y)
 
     def t_pair(self, x: Weight, y: Weight) -> Fraction:
@@ -115,10 +103,12 @@ class ReductivePair:
         return dot(x, mat_vec(self.t_gram, y))
 
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
+        check_rank(x, self.rank_t)
         return dot(self.k_coroot_functionals[i], x)
 
     def dominance_defect(self, mu: Weight) -> str | None:
         """None if mu is dominant integral for the subalgebra, else a reason."""
+        check_rank(mu, self.rank_t)
         for i, sigma in enumerate(self.k_simple_roots):
             v = self.coroot_pairing(mu, i)
             if v.denominator != 1:
@@ -168,29 +158,6 @@ def _orthogonal_section(g: RootSystem, rows, den: int) -> tuple[Matrix, Matrix]:
     return tuple(zip(*(row[m:] for row in x))), tuple(row[:m] for row in x)
 
 
-def _images(rows, den: int, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
-    """The matrix rows / den times every int vector v, in order: the int
-    images rows . v, and the weights, each coordinate made a Fraction once."""
-    fractions = FractionTable(den)
-    scaled = tuple([tuple([dot(row, v) for row in rows]) for v in vectors])
-    return scaled, tuple([tuple(map(fractions.__getitem__, image)) for image in scaled])
-
-
-@lru_cache(maxsize=MAX_CACHED_K_DATA)
-def _k_side(k_simple: tuple[Weight, ...], functionals: tuple[tuple[Fraction, ...], ...],
-            rank_t: int, max_roots: int) -> tuple[tuple[Weight, ...], Weight, int]:
-    """The k-positive roots, rho and |W_k| of the k root data.
-
-    The k-positive roots come out ordered by height and, within a height,
-    lexicographically in k-simple-root coordinates; a Levi subset's roots
-    therefore keep the order they have among the roots of g.
-    """
-    closure = _root_closure(cartan_matrix(k_simple, functionals), max_roots=max_roots)
-    _, k_positive = _images(*to_integers(list(zip(*k_simple))), closure)
-    rho = WeightMultiset(((r, 1) for r in k_positive), rank=rank_t).half_sum()
-    return k_positive, rho, weyl_group_order(closure)
-
-
 def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
           functionals: tuple[tuple[Fraction, ...], ...], kind: str) -> ReductivePair:
     """The pair fixed by a full-row-rank restriction and the k root data,
@@ -203,11 +170,10 @@ def _pair(g: RootSystem, restriction: Matrix, k_simple: tuple[Weight, ...],
         rows, den = to_integers(restriction)
         lift, t_gram = _orthogonal_section(g, rows, den)
         scaled, restricted = _images(rows, den, g.positive_integers)
-    rank_t = len(restriction)
-    k_positive, rho, k_weyl_order = _k_side(k_simple, functionals, rank_t,
-                                            2 * len(g.positive_roots))
+    rank_t, k = len(restriction), root_datum(k_simple, functionals)
     return ReductivePair(g, rank_t, restriction, lift, t_gram, k_simple, functionals,
-                         k_positive, rho, restricted, scaled, kind, k_weyl_order)
+                         k.positive_roots, k.rho or zero(rank_t), restricted, scaled, kind,
+                         k.weyl_order)
 
 
 def check_sizes(rank_g: int, labels=None, nodes=(), restriction=None, k_simple=(),

@@ -8,17 +8,19 @@ x -> 2 (x, alpha_j) / (alpha_j, alpha_j) from it, and from those the
 positive roots, the Weyl vector, Weyl groups and the dimension formula.
 
 Root data, simple roots with coroot functionals (those of g, or the
-k-simple roots of a pair), have one int Cartan matrix, formed and checked
-by ``cartan_matrix`` once per process, and every reflection reads it.
-Weyl groups are never built as matrices.  One breadth-first walk over the
-simple reflections, acting on the orbit of a strictly dominant weight,
-yields every element as a reduced word together with its image of that
-weight; ``weyl_group``, the small Weyl group of a pair and the Kostant
-weights of a k-type are all read off that walk, which runs in integer
-coroot coordinates.  One int fold, ``weyl_fold``, takes a point to the
-dominant chamber, for the k-type table and the central character.  The
-walk counts nothing: its callers read the exact order off the root
-heights (``weyl_group_order``) and refuse a group over MAX_WEYL elements
+k-simple roots of a pair), are derived once per process by ``root_datum``:
+the checked int Cartan matrix, the positive roots (its closure under
+raising reflections), the Weyl vector and the Weyl order.  The build of a
+type, every k side of a pair and every reflection read it.  Weyl groups
+are never built as matrices.  One breadth-first walk over the simple
+reflections, acting on the orbit of a strictly dominant weight, yields
+every element as a reduced word together with its image of that weight;
+``weyl_group``, the small Weyl group of a pair and the Kostant weights of
+a k-type are all read off that walk, which runs in integer coroot
+coordinates.  One int fold, ``weyl_fold``, takes a point to the dominant
+chamber, for the k-type table and the central character.  The walk counts
+nothing: its callers read the exact order off the root heights
+(``weyl_group_order``) and refuse a group over MAX_WEYL elements
 (``refuse_weyl_order``) before it starts.
 
 ``build_root_system`` builds each type once per process: it refuses a
@@ -26,21 +28,23 @@ type over MAX_POSITIVE_ROOTS roots on every call, then returns the build
 kept by an LRU cache of MAX_CACHED_TYPES types, keyed on the parsed
 ``LieType`` (so "A01" and "A1" share one entry).  A ``RootSystem`` is
 frozen and made of tuples, so every caller may share it; a build that
-raises is not kept.  It carries the positive roots twice, as weights and
-as the int tuples the closure produced, and its inverse Gram matrix in
-ints, derived once.
+raises is not kept.  It carries the positive roots of its datum twice, as
+weights and as int tuples, and its inverse Gram matrix in ints, derived
+once.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .linalg import Matrix, dot, mat_vec, solve, solve_integers
-from .weights import FractionTable, Weight, fmt, to_integers
+from .weights import FractionTable, Weight, check_rank, fmt, to_integers
 
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
@@ -65,7 +69,8 @@ _POSITIVE_ROOT_COUNT = {
 MAX_POSITIVE_ROOTS = 200   # build_root_system refuses more (E8 has 120)
 MAX_WEYL = 1_000_000       # no Weyl group over this order is walked (|W(E7)| = 2903040)
 MAX_CACHED_TYPES = 64      # root systems kept built by build_root_system
-MAX_CACHED_K_DATA = 256    # k root data whose Cartan matrix and derived side are kept
+MAX_CACHED_DATA = 320      # root data, of g and of every k side, kept derived by root_datum
+_WHOLE = FractionTable(1)  # n -> Fraction(n), immutable values shared by every build
 
 
 class CapExceeded(RuntimeError):
@@ -170,6 +175,7 @@ class RootSystem:
         return dot(x, mat_vec(self.gram, y))
 
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
+        check_rank(x, self.rank)
         return dot(self.coroot_functionals[i], x)
 
     def from_fundamental(self, coords: Weight) -> Weight:
@@ -181,37 +187,6 @@ class RootSystem:
         if len(coords) != self.rank:
             raise ValueError("coordinate length does not match rank")
         return tuple(x for (x,) in solve(self.coroot_functionals, [(c,) for c in coords]))
-
-
-@lru_cache(maxsize=MAX_CACHED_TYPES + MAX_CACHED_K_DATA)
-def cartan_matrix(simple_roots: tuple[Weight, ...],
-                  functionals: tuple[Weight, ...]) -> tuple[tuple[int, ...], ...]:
-    """The Cartan matrix of root data, entry (i, j) = <sigma_i, sigma_j-coroot>,
-    formed in ints once per process for each (simple roots, coroot
-    functionals).  It must be a generalized Cartan matrix: integers, 2 on
-    the diagonal, no positive entry off it, and entry (i, j) zero exactly
-    when entry (j, i) is."""
-    (sigmas, sigma_den), (funs, fun_den) = to_integers(simple_roots), to_integers(functionals)
-    q = sigma_den * fun_den
-    cartan = [[dot(s, f) for f in funs] for s in sigmas]
-    for i, row in enumerate(cartan):
-        for j, v in enumerate(row):
-            if v % q:
-                raise ValueError(
-                    f"non-integral coroot pairing {Fraction(v, q)} between k-simple roots "
-                    f"{fmt(simple_roots[i])} and {fmt(simple_roots[j])}"
-                )
-            if i == j and v != 2 * q:
-                raise ValueError(f"k-simple root {fmt(simple_roots[i])} pairs to {v // q} != 2 "
-                                 "with its own coroot")
-            if i != j and v > 0:
-                raise ValueError("positive off-diagonal Cartan entry in k root data")
-    for i, row in enumerate(cartan):
-        for j, v in enumerate(row):
-            if v == 0 != cartan[j][i]:
-                raise ValueError(f"k Cartan entry ({i + 1}, {j + 1}) is 0 but ({j + 1}, {i + 1}) "
-                                 f"is {cartan[j][i] // q}: not a generalized Cartan matrix")
-    return tuple(tuple([v // q for v in row]) for row in cartan)
 
 
 def weyl_fold(c: list[int], cartan) -> tuple[list[int], int]:
@@ -233,8 +208,7 @@ def weyl_fold(c: list[int], cartan) -> tuple[list[int], int]:
             return a, count
 
 
-def _root_closure(a: list[list[int]],
-                  max_roots: int | None = None) -> list[tuple[int, ...]]:
+def _root_closure(a, max_roots: int = MAX_POSITIVE_ROOTS) -> list[tuple[int, ...]]:
     """The positive roots of a generalized Cartan matrix a (a_ij = 0 exactly
     when a_ji = 0; the callers check it): the simple roots closed under
     raising reflections.  A root beta carries its pairings <beta,
@@ -258,7 +232,7 @@ def _root_closure(a: list[list[int]],
             if c < 0 and (raised := beta[:i] + (beta[i] - c,) + beta[i + 1:]) not in roots:
                 roots[raised] = [p - c * q for p, q in zip(pairings, a[i])]
                 todo.append(raised)
-                if max_roots is not None and len(roots) > max_roots:
+                if len(roots) > max_roots:
                     raise ValueError("root closure exceeded its cap; the Cartan data is "
                                      "not of finite type")
     return sorted(roots, key=lambda r: (sum(r), r))
@@ -270,14 +244,78 @@ def weyl_group_order(positive_roots) -> int:
     exponents equal h, where N_h counts the roots of height h (Kostant,
     Amer. J. Math. 81 (1959); Humphreys, Reflection Groups and Coxeter
     Groups, 3.20).  Products need no special case, and no roots give 1."""
-    heights: dict[int, int] = {}
-    for root in positive_roots:
-        h = int(sum(root))
-        heights[h] = heights.get(h, 0) + 1
-    order = 1
+    heights, order = Counter(map(sum, positive_roots)), 1
     for h, count in heights.items():
-        order *= (h + 1) ** (count - heights.get(h + 1, 0))
-    return order
+        order *= (h + 1) ** (count - heights[h + 1])
+    return int(order)
+
+
+class RootDatum(NamedTuple):
+    """What every answer reads off root data (see ``root_datum``)."""
+
+    cartan: tuple[tuple[int, ...], ...]   # cartan[i][j] = <sigma_i, sigma_j-coroot>
+    simple_integers: tuple[tuple[tuple[int, ...], ...], int]   # int rows, denominator
+    functional_integers: tuple[tuple[tuple[int, ...], ...], int]
+    closure: tuple[tuple[int, ...], ...]   # positive roots in simple-root coordinates
+    positive_roots: tuple[Weight, ...]     # the same, as weights
+    rho: Weight                            # their half-sum; () when there are none
+    weyl_order: int
+
+
+def _weights(rows, den: int) -> tuple[Weight, ...]:
+    """The int rows over den as weights, each coordinate made a Fraction once."""
+    fractions = _WHOLE if den == 1 else FractionTable(den)
+    return tuple([tuple(map(fractions.__getitem__, row)) for row in rows])
+
+
+def _images(rows, den: int, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
+    """The matrix rows / den times every int vector v, in order: the int
+    images rows . v, and their weights."""
+    scaled = tuple([tuple([dot(row, v) for row in rows]) for v in vectors])
+    return scaled, _weights(scaled, den)
+
+
+@lru_cache(maxsize=MAX_CACHED_DATA)
+def root_datum(simple_roots: tuple[Weight, ...], functionals: tuple[Weight, ...]) -> RootDatum:
+    """Everything derived from root data, once per process for each (simple
+    roots, coroot functionals); the LRU cache holds tuples and keeps nothing
+    from data that is refused.  The Cartan matrix, entry (i, j) = <sigma_i,
+    sigma_j-coroot>, must be a generalized Cartan matrix: integers, 2 on the
+    diagonal, no positive entry off it, and entry (i, j) zero exactly when
+    entry (j, i) is.  Its closure must stop within MAX_POSITIVE_ROOTS roots,
+    as every finite type inside a root system of the cap does.  The roots
+    come out by height, then lexicographically in simple-root coordinates,
+    so a Levi subset's roots keep their order among the roots of g."""
+    (sigmas, sigma_den), (funs, fun_den) = to_integers(simple_roots), to_integers(functionals)
+    q = sigma_den * fun_den
+    cartan = [[dot(s, f) for f in funs] for s in sigmas]
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v % q:
+                raise ValueError(f"non-integral coroot pairing {Fraction(v, q)} between k-simple "
+                                 f"roots {fmt(simple_roots[i])} and {fmt(simple_roots[j])}")
+            if i == j and v != 2 * q:
+                raise ValueError(f"k-simple root {fmt(simple_roots[i])} pairs to {v // q} != 2 "
+                                 "with its own coroot")
+            if i != j and v > 0:
+                raise ValueError("positive off-diagonal Cartan entry in k root data")
+    for i, row in enumerate(cartan):
+        for j, v in enumerate(row):
+            if v == 0 != cartan[j][i]:
+                raise ValueError(f"k Cartan entry ({i + 1}, {j + 1}) is 0 but ({j + 1}, {i + 1}) "
+                                 f"is {cartan[j][i] // q}: not a generalized Cartan matrix")
+    cartan = tuple(tuple([v // q for v in row]) for row in cartan)
+    closure = tuple(_root_closure(cartan))
+    columns, n = list(zip(*sigmas)), len(sigmas)
+    if sigmas == [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]:
+        positive = _weights(closure, sigma_den)     # unit vectors map each root to itself
+    else:
+        _, positive = _images(columns, sigma_den, closure)
+    total = [sum(column) for column in zip(*closure)]
+    rho = tuple([Fraction(dot(row, total), 2 * sigma_den) for row in columns])
+    return RootDatum(cartan, (tuple(map(tuple, sigmas)), sigma_den),
+                     (tuple(map(tuple, funs)), fun_den), closure, positive, rho,
+                     weyl_group_order(closure))
 
 
 def _positive_root_count(lie_type: LieType) -> int:
@@ -298,44 +336,31 @@ def build_root_system(t: LieType | str) -> RootSystem:
 @lru_cache(maxsize=MAX_CACHED_TYPES)
 def _build_root_system(lie_type: LieType) -> RootSystem:
     rank, gram = lie_type.rank, _simple_gram(lie_type)
-    fractions = FractionTable(1)
-    simple = tuple(tuple(fractions[int(j == i)] for j in range(rank)) for i in range(rank))
+    simple = tuple(tuple(_WHOLE[int(j == i)] for j in range(rank)) for i in range(rank))
     g, _ = to_integers(gram)     # functional j: x -> 2 (x, alpha_j) / (alpha_j, alpha_j)
-    functionals = tuple(tuple(fractions[2 * g[i][j] // g[j][j]] for i in range(rank))
+    functionals = tuple(tuple(_WHOLE[2 * g[i][j] // g[j][j]] for i in range(rank))
                         for j in range(rank))
-    a = cartan_matrix(simple, functionals)
-    roots = _root_closure(a)
-    expected = _positive_root_count(lie_type)
-    if len(roots) != expected:
-        raise AssertionError(
-            f"positive root closure for {lie_type} produced {len(roots)} roots, "
-            f"expected {expected}"
-        )
-
-    return RootSystem(
-        lie_type=lie_type,
-        gram=tuple(tuple(row) for row in gram),
-        cartan=a,
-        coroot_functionals=functionals,
-        simple_roots=simple,
-        positive_roots=tuple([tuple(map(fractions.__getitem__, r)) for r in roots]),
-        positive_integers=tuple(roots),
-        rho_tilde=tuple([Fraction(sum(column), 2) for column in zip(*roots)]),
-    )
+    datum, expected = root_datum(simple, functionals), _positive_root_count(lie_type)
+    if len(datum.closure) != expected:
+        raise AssertionError(f"positive root closure for {lie_type} produced "
+                             f"{len(datum.closure)} roots, expected {expected}")
+    return RootSystem(lie_type, tuple(tuple(row) for row in gram), datum.cartan, functionals,
+                      simple, datum.positive_roots, datum.closure, datum.rho)
 
 
-def _coroot_walk(x: Weight, simple_roots: tuple[Weight, ...],
-                 functionals: tuple[Weight, ...]):
+def _coroot_walk(x: Weight, functionals: tuple[Weight, ...], cartan):
     """The breadth-first walk of ``reflection_orbit`` in integer coroot
-    coordinates.  Returns (scale, nodes), each node (word, a) with
-    w x = x - sum_i a_i sigma_i / scale.  It walks the whole group: the
-    callers refuse one over MAX_WEYL elements by its order first."""
+    coordinates, reflecting by the rows of the Cartan matrix of the root
+    datum.  Returns (scale, nodes), each node (word, a) with w x = x -
+    sum_i a_i sigma_i / scale.  It walks the whole group: the callers
+    refuse one over MAX_WEYL elements by its order first."""
+    if functionals:
+        check_rank(x, len(functionals[0]))
     pairings = [dot(f, x) for f in functionals]
     for i, c in enumerate(pairings):
         if c <= 0:
             raise ValueError(f"orbit base point {fmt(x)} is not strictly dominant: "
                              f"coroot pairing {c} at simple root {i + 1}")
-    cartan = cartan_matrix(simple_roots, functionals)
     (start,), scale = to_integers([pairings])
     nodes = [((), (0,) * len(functionals))]
     level = {tuple(start): nodes[0]}
@@ -368,18 +393,19 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
 
     The walk runs on the coroot coordinates c_j = <y, sigma_j-coroot>,
     scaled by their common denominator into integers, under
-    c -> c - c_i A_i with A = ``cartan_matrix(simple_roots, functionals)``.
+    c -> c - c_i A_i with A the Cartan matrix of ``root_datum``.
     Within one orbit c determines y: y - x lies in the span of the sigma_i,
     on which A is nondegenerate.  Each point carries its displacement a,
     with a_i increased by c_i at each reflection s_i, so that w x = x -
     sum_i a_i sigma_i; the points are recovered from it once, at the end,
     in integers scaled by one common denominator.
     """
-    scale, nodes = _coroot_walk(x, simple_roots, functionals)
+    datum = root_datum(simple_roots, functionals)
+    scale, nodes = _coroot_walk(x, functionals, datum.cartan)
     orbit = [((), x)]
     if len(nodes) == 1:
         return orbit
-    sigmas, sigma_den = to_integers(simple_roots)
+    sigmas, sigma_den = datum.simple_integers
     den = math.lcm(scale * sigma_den, *(v.denominator for v in x))
     base = [v.numerator * (den // v.denominator) for v in x]
     factor = den // (scale * sigma_den)
@@ -408,6 +434,8 @@ class WeylElement:
         return len(self.word)
 
     def apply(self, x: Weight) -> Weight:
+        if self.simple_roots:
+            check_rank(x, len(self.simple_roots[0]))
         for i in reversed(self.word):   # x - <x, sigma_i-coroot> sigma_i
             c = dot(self.coroot_functionals[i], x)
             x = tuple(a - c * b for a, b in zip(x, self.simple_roots[i]))
@@ -419,7 +447,7 @@ def enumerate_reflection_group(simple_roots: tuple[Weight, ...],
                                rho: Weight) -> list[WeylElement]:
     """Every element of the group generated by the simple reflections,
     read off the orbit of the strictly dominant rho; depth equals length."""
-    _, nodes = _coroot_walk(rho, simple_roots, functionals)
+    _, nodes = _coroot_walk(rho, functionals, root_datum(simple_roots, functionals).cartan)
     return [WeylElement(word, simple_roots, functionals) for word, _ in nodes]
 
 
@@ -427,7 +455,7 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     """All Weyl group elements with correct lengths, breadth-first, of any
     rank; a group over MAX_WEYL elements (E7, E8, D8, ...) is refused by
     its exact order before the walk."""
-    refuse_weyl_order(weyl_group_order(rs.positive_roots))
+    refuse_weyl_order(root_datum(rs.simple_roots, rs.coroot_functionals).weyl_order)
     return enumerate_reflection_group(rs.simple_roots, rs.coroot_functionals, rs.rho_tilde)
 
 

@@ -60,6 +60,12 @@ def to_integers(a: Collection[Weight]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
+def check_rank(x: Weight, rank: int) -> None:
+    """Refuse a weight whose length is not the rank."""
+    if len(x) != rank:
+        raise ValueError(f"expected a weight of rank {rank}, got length {len(x)}")
+
+
 def zero(rank: int) -> Weight:
     return (Fraction(0),) * rank
 

@@ -27,9 +27,9 @@ from redpair.rootsystem import (
     CapExceeded,
     _root_closure,
     build_root_system,
-    cartan_matrix,
     enumerate_reflection_group,
     reflection_orbit,
+    root_datum,
     weyl_fold,
     weyl_group,
     weyl_group_order,
@@ -146,7 +146,7 @@ def test_weyl_fold_matches_the_fraction_fold(case):
     # folding element: for a regular x, the length of the word of x in the
     # orbit walk from its dominant point
     simple, functionals, positive, form, sample = FOLD_CASES[case]()
-    cartan, rng, walked = cartan_matrix(simple, functionals), random.Random(case), 0
+    cartan, rng, walked = root_datum(simple, functionals).cartan, random.Random(case), 0
     assert any(f.denominator == 2 for row in functionals for f in row) == ("doubled" in case)
     for _ in range(60):
         x = sample(rng)

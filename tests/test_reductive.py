@@ -211,3 +211,15 @@ def test_induced_form_positive_definite(a2, b2):
     for p in (make_sl2_pair(a2, [2, 2]), make_sl2_pair(b2, [1, 2]),
               make_cartan_pair(b2), make_levi_pair(a2, {2})):
         assert leading_minors_positive(p.t_gram)
+
+
+@pytest.mark.parametrize("x", [vec(1, 1, 1), vec(1)], ids=["too-long", "too-short"])
+def test_a_small_side_weight_of_the_wrong_length_is_refused(a2, x):
+    # (1,) read as dominant integral for A2 levi {1}, (1, 1, 1) as its first two entries
+    refusal = f"^expected a weight of rank 2, got length {len(x)}$"
+    for p in (make_levi_pair(a2, {1}), make_cartan_pair(a2)):
+        for call in (p.dominance_defect, p.is_dominant_integral):
+            with pytest.raises(ValueError, match=refusal):
+                call(x)
+    with pytest.raises(ValueError, match=refusal):
+        make_levi_pair(a2, {1}).coroot_pairing(x, 0)

@@ -12,6 +12,8 @@ from redpair.rootsystem import (
     _root_closure,
     _simple_gram,
     build_root_system,
+    enumerate_reflection_group,
+    reflection_orbit,
     weyl_dim,
     weyl_group,
 )
@@ -237,3 +239,17 @@ def test_fundamental_coordinate_conversion():
         assert [rs.coroot_pairing(x, i) for i in range(rs.rank)] == list(coords)
     # rho_tilde has all fundamental coordinates equal to one
     assert [rs.coroot_pairing(rs.rho_tilde, i) for i in range(rs.rank)] == [1, 1]
+
+
+@pytest.mark.parametrize("x", [vec(1, 1, 1), vec(1)], ids=["too-long", "too-short"])
+def test_a_weight_of_the_wrong_length_is_refused(x):
+    # a zip over the shorter length misread these: weyl_dim((1, 1, 1)) read 8
+    rs = build_root_system("A2")
+    refusal = f"^expected a weight of rank 2, got length {len(x)}$"
+    simple, functionals = rs.simple_roots, rs.coroot_functionals
+    for call in (lambda: weyl_dim(rs, x), lambda: rs.coroot_pairing(x, 0),
+                 lambda: weyl_group(rs)[3].apply(x), lambda: weyl_group(rs)[0].apply(x),
+                 lambda: reflection_orbit(x, simple, functionals),
+                 lambda: enumerate_reflection_group(simple, functionals, x)):
+        with pytest.raises(ValueError, match=refusal):
+            call()

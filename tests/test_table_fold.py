@@ -1,7 +1,7 @@
 """The signed fold of ``ktype_table`` against the per-candidate Kostant sums
 of ``table_oracle``, on every Levi subset of the rank-two and rank-three
-types, on sl2 and Cartan pairs and on a Levi pair entered as an explicit
-pair, each at two cutoffs; against ``euler_multiplicity`` entry by entry;
+types, on sl2 and Cartan pairs and on Levi pairs entered as explicit
+pairs, in their own coordinates and in doubled ones, each at two cutoffs; against ``euler_multiplicity`` entry by entry;
 and the size and the answer of the ball-pruned walk, up to a C3 table
 whose whole Cauchy-Schwarz slab would not fit under the cap, with the
 points outside the ball that the walk keeps and the fold must drop."""
@@ -25,7 +25,7 @@ from redpair.reductive import (
     make_sl2_pair,
 )
 from redpair.rootsystem import CapExceeded, build_root_system
-from redpair.weights import add, vec
+from redpair.weights import add, scale, vec
 from table_oracle import candidate_table, walk_points
 
 
@@ -50,6 +50,15 @@ def levi_as_explicit(lie, nodes):
     p = make_levi_pair(build_root_system(lie), set(nodes))
     return chamber(make_explicit_pair(p.g, p.restriction, list(p.k_simple_roots),
                                       list(p.k_coroot_functionals)))
+
+
+def levi_doubled(lie, nodes):
+    # the Levi pair in doubled small-side coordinates: the k-simple roots
+    # have int entries and the coroot functionals the denominator 2
+    p = make_levi_pair(build_root_system(lie), set(nodes))
+    return chamber(make_explicit_pair(p.g, [scale(2, row) for row in p.restriction],
+                                      [scale(2, s) for s in p.k_simple_roots],
+                                      [scale("1/2", f) for f in p.k_coroot_functionals]))
 
 
 def nongeneric_a2():
@@ -77,6 +86,8 @@ OTHER = [
     pytest.param(lambda: cartan("A2"), id="A2-cartan"),
     pytest.param(lambda: cartan("B2"), id="B2-cartan"),
     pytest.param(lambda: levi_as_explicit("B2", {1}), id="B2-levi-1-explicit"),
+    pytest.param(lambda: levi_doubled("B2", {1}), id="B2-levi-1-doubled"),
+    pytest.param(lambda: levi_doubled("A3", {1, 2}), id="A3-levi-12-doubled"),
     pytest.param(nongeneric_a2, id="A2-nongeneric"),
 ]
 

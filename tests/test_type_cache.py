@@ -1,8 +1,9 @@
-"""The per-process caches of root systems (by type), of Cartan matrices
-(by root data) and of the k side of a pair (by k root data): shared builds
-equal fresh ones, each Cartan matrix is formed once, refusals are never
-kept, the caches are bounded, and the order in which jobs run cannot
-change any answer."""
+"""The two per-process caches, of root systems (by type) and of root data
+(the Cartan matrix, positive roots, Weyl vector and Weyl order of g and of
+every k side, by simple roots and coroot functionals): shared builds equal
+fresh ones, each datum is derived once and shared by every pair that has
+it, refusals are never kept, the caches are bounded, and the order in
+which jobs run cannot change any answer."""
 
 import contextlib
 import dataclasses
@@ -15,7 +16,7 @@ from redpair import CapExceeded, LieType, RootSystem, build_root_system
 from redpair import reductive, rootsystem
 from redpair.cli import main
 
-CACHES = (rootsystem._build_root_system, rootsystem.cartan_matrix, reductive._k_side)
+CACHES = (rootsystem._build_root_system, rootsystem.root_datum)
 
 TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
          + [f"C{n}" for n in range(3, 7)] + [f"D{n}" for n in range(4, 7)]
@@ -59,25 +60,23 @@ def test_refusals_are_raised_on_every_call_and_never_kept():
 
 def test_refused_k_data_is_raised_on_every_call_and_never_kept():
     g = build_root_system("A2")
-    before = reductive._k_side.cache_info().currsize
+    before = rootsystem.root_datum.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError, match="positive off-diagonal Cartan entry"):
             reductive.make_explicit_pair(g, g.simple_roots, [(1, 0), (0, 1)],
                                          [(2, 1), (1, 2)])
-    assert reductive._k_side.cache_info().currsize == before
+    assert rootsystem.root_datum.cache_info().currsize == before
 
 
 def test_caches_are_bounded():
     assert rootsystem._build_root_system.cache_info().maxsize == rootsystem.MAX_CACHED_TYPES
-    assert reductive._k_side.cache_info().maxsize == reductive.MAX_CACHED_K_DATA
-    assert rootsystem.cartan_matrix.cache_info().maxsize == (rootsystem.MAX_CACHED_TYPES
-                                                             + reductive.MAX_CACHED_K_DATA)
+    assert rootsystem.root_datum.cache_info().maxsize == rootsystem.MAX_CACHED_DATA
     for cache in CACHES:
         assert 0 < cache.cache_info().maxsize < 10_000
 
 
 def test_each_cartan_matrix_is_formed_once_per_root_datum(tmp_path):
-    # the build forms the ambient one and the k side the k one; the orbit
+    # the build derives the ambient datum and the pair the k one; the orbit
     # walks, the table's fold and the central character's fold read them
     clear_caches()
     path = tmp_path / "c3.cfg"
@@ -88,7 +87,7 @@ def test_each_cartan_matrix_is_formed_once_per_root_datum(tmp_path):
     g = build_root_system("C3")
     rootsystem.weyl_group(g)
     reductive.make_levi_pair(g, {2, 3}).k_weyl_group()
-    assert rootsystem.cartan_matrix.cache_info().misses == 2
+    assert rootsystem.root_datum.cache_info().misses == 2
 
 
 def test_pairs_with_the_same_k_data_share_the_k_side():
@@ -101,6 +100,55 @@ def test_pairs_with_the_same_k_data_share_the_k_side():
     again = reductive.make_explicit_pair(g, g.simple_roots, levi.k_simple_roots,
                                          levi.k_coroot_functionals)
     assert again.k_positive_roots is levi.k_positive_roots
+
+
+def test_one_datum_serves_g_and_every_k_side_that_has_it():
+    # the sl2 k data are the same on every type; a full Levi's are g's own
+    clear_caches()
+    a4, b4 = build_root_system("A4"), build_root_system("B4")
+    sl2_a4 = reductive.make_sl2_pair(a4, [2, 2, 2, 2])
+    sl2_b4 = reductive.make_sl2_pair(b4, [0, 0, 0, 2])
+    assert sl2_a4.k_positive_roots is sl2_b4.k_positive_roots
+    assert sl2_a4.rho is sl2_b4.rho
+    for g in (a4, b4, build_root_system("G2")):
+        full = reductive.make_levi_pair(g, set(range(1, g.rank + 1)))
+        assert full.k_positive_roots is g.positive_roots and full.rho is g.rho_tilde
+    cartan = reductive.make_cartan_pair(a4)
+    assert cartan.k_positive_roots == () and cartan.rho == (0, 0, 0, 0)
+    # A4, B4, G2, the sl2 data and the empty data of the Cartan pair
+    assert rootsystem.root_datum.cache_info().misses == 5
+
+
+# the identity restriction of A1xA1 with the k data of G2 (finite type, but
+# no isometry of the induced form; its datum is valid and kept) and of
+# affine A1 (not of finite type; nothing kept)
+G2_ON_A1XA1 = ([[1, 0], [0, 1]], [[2, -3], [-1, 2]],
+               "coroot functional [2, -3] for k-simple root [1, 0] does not act by an "
+               "isometry of the induced form", 1)
+AFFINE_ON_A1XA1 = ([[1, 0], [0, 1]], [[2, -2], [-2, 2]],
+                   "root closure exceeded its cap; the Cartan data is not of finite type", 0)
+
+
+@pytest.mark.parametrize("simple, coroots, message, kept", [G2_ON_A1XA1, AFFINE_ON_A1XA1],
+                         ids=["G2", "affine-A1"])
+def test_k_data_is_refused_for_the_right_reason(tmp_path, simple, coroots, message, kept):
+    clear_caches()
+    g = build_root_system("A1xA1")
+    before = rootsystem.root_datum.cache_info().currsize
+    path = tmp_path / "k.cfg"
+    path.write_text(f"lie_type = A1xA1\nk = explicit\nrestriction = [[1, 0], [0, 1]]\n"
+                    f"k_simple_roots = {simple}\nk_coroots = {coroots}\n"
+                    "command = pair-info\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ValueError) as refused:
+            reductive.make_explicit_pair(g, g.simple_roots, simple, coroots)
+        assert str(refused.value) == message
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["--config", str(path), "--emit", "machine"]) == 3
+        assert out.getvalue() == "" and err.getvalue() == f"validation error: {message}\n"
+    # a refusal is never kept, only a datum that passed its own checks
+    assert rootsystem.root_datum.cache_info().currsize - before == kept
 
 
 # ---------------------------------------------------------------------------
