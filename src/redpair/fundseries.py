@@ -45,7 +45,7 @@ from .parabolic import (CompatibleParabolic, _grading, _n_cap_kperp, compatible_
 from .reductive import ReductivePair
 from .rootsystem import (CapExceeded, RootSystem, reflection_orbit, refuse_weyl_order,
                          root_datum, weyl_dim_from_roots, weyl_fold)
-from .weights import (FractionTable, Weight, WeightMultiset, add, check_rank, fmt, scale, sub,
+from .weights import (Weight, WeightMultiset, add, check_rank, fmt, from_integers, scale, sub,
                       to_integers)
 
 
@@ -124,7 +124,7 @@ def _steps(generators: WeightMultiset, ell, grading: Weight, k: int = 1) -> list
         beta = tuple([k * c for c in row])
         step = dot(ell, beta)
         if step <= 0:
-            raise ValueError(f"generator {fmt([Fraction(c, den) for c in row])} does not "
+            raise ValueError(f"generator {fmt(from_integers([row], den)[0])} does not "
                              f"pair strictly positively with the grading weight {fmt(grading)}")
         steps.append((beta, step, mult))
     return steps
@@ -282,7 +282,6 @@ def kostant_weights(p: ReductivePair, delta: Weight) -> list[tuple[int, Weight]]
     defect = p.dominance_defect(delta)
     if defect is not None:
         raise ValueError(f"delta is not dominant integral: {defect}")
-    refuse_weyl_order(p.k_weyl_order)
     orbit = reflection_orbit(add(delta, p.rho), p.k_simple_roots, p.k_coroot_functionals)
     return sorted((len(word), sub(y, p.rho)) for word, y in orbit)
 
@@ -452,17 +451,17 @@ def ktype_table(p: ReductivePair, parab: CompatibleParabolic,
 
     # keep z when |z|^2 <= cutoff and delta = z - rho is dominant integral: each
     # fun_den D <delta, sigma_i-coroot> is >= 0 and a multiple of fun_den D
-    kept, fractions = [], FractionTable(den)
+    kept = []
     rho_c, whole = [dot(f, rho) for f in funs], fun_den * den
     for z, total in folded.items():
         if total and all((v := dot(f, z) - r) >= 0 and not v % whole
                          for f, r in zip(funs, rho_c)):
             if (norm := norm2(tuple(map(operator.add, z, rho)))) * cut_den <= cut * unit:
                 kept.append((norm, tuple(map(operator.sub, z, rho)), e.dim_e * total))
-    kept = [(Fraction(n, unit), tuple(map(fractions.__getitem__, d)), m)
-            for n, d, m in sorted(kept)]
-    return MultiplicityTable(entries={delta: mult for _, delta, mult in kept},
-                             norms={delta: norm for norm, delta, _ in kept},
+    kept.sort()
+    deltas = from_integers([d for _, d, _ in kept], den)
+    return MultiplicityTable(entries={d: m for d, (_, _, m) in zip(deltas, kept)},
+                             norms={d: Fraction(n, unit) for d, (n, _, _) in zip(deltas, kept)},
                              cutoff=cutoff, s=parab.s, r=parab.r, mu=e.mu, dim_e=e.dim_e)
 
 
@@ -472,7 +471,7 @@ def infinitesimal_character(rs: RootSystem, e: InducingModule) -> Weight:
     minus the displacement of ``weyl_fold`` on the ambient Cartan matrix."""
     (x,), den = to_integers([add(e.nu, rs.rho_tilde)])
     a, _ = weyl_fold([dot(x, column) for column in zip(*rs.cartan)], rs.cartan)
-    return tuple([Fraction(u - v, den) for u, v in zip(x, a)])
+    return from_integers([list(map(operator.sub, x, a))], den)[0]
 
 
 @dataclass(frozen=True)

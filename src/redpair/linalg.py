@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .weights import to_integers
+from .weights import from_integers, to_integers
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -23,8 +23,7 @@ def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """The exact X with a X = b; raises ValueError on a singular a."""
-    rows, den = solve_integers(a, b)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+    return from_integers(*solve_integers(a, b))
 
 
 def solve_integers(a: Matrix, b: Matrix) -> tuple[list[list[int]], int]:

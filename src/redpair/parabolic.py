@@ -24,11 +24,10 @@ The multiset split below implements exactly that reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import dot, to_integers
 from .reductive import ReductivePair
-from .weights import Weight, WeightMultiset, fmt, neg
+from .weights import Weight, WeightMultiset, fmt, from_integers, neg
 
 
 def _grading(p: ReductivePair, lam: Weight) -> tuple[list[int], list[int]]:
@@ -113,7 +112,7 @@ def _n_cap_kperp(p: ReductivePair, ch_t_n: WeightMultiset) -> WeightMultiset:
     missing = [row for row, m in cap_k.items() if counts.get(row, 0) < m]
     if missing:
         raise ValueError("the k-positive multiset does not embed in the character of n: "
-                         f"weight {fmt([Fraction(a, den) for a in min(missing)])} is missing; "
+                         f"weight {fmt(from_integers([min(missing)], den)[0])} is missing; "
                          "the embedding data is inconsistent or lam is not b_k-dominant")
     return WeightMultiset.from_rows({row: m - cap_k.get(row, 0) for row, m in counts.items()
                                      if m > cap_k.get(row, 0)}, den, p.rank_t)

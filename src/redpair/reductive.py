@@ -44,10 +44,9 @@ from .rootsystem import (
     WeylElement,
     _images,
     enumerate_reflection_group,
-    refuse_weyl_order,
     root_datum,
 )
-from .weights import Weight, WeightMultiset, check_rank, fmt, neg, weight, zero
+from .weights import Weight, WeightMultiset, check_rank, fmt, from_integers, neg, weight, zero
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class ReductivePair:
     def restrict(self, x: Weight) -> Weight:
         check_rank(x, self.g.rank)
         (rows, den), ((x_row,), x_den) = self.restriction_integers, to_integers([x])
-        return tuple([Fraction(dot(row, x_row), den * x_den) for row in rows])
+        return from_integers([[dot(row, x_row) for row in rows]], den * x_den)[0]
 
     def lift_weight(self, y: Weight) -> Weight:
         check_rank(y, self.rank_t)
@@ -134,7 +133,6 @@ class ReductivePair:
     def k_weyl_group(self) -> list[WeylElement]:
         """The subalgebra's Weyl group acting on small-side weights, read
         off the orbit of rho; refused by its order over MAX_WEYL."""
-        refuse_weyl_order(self.k_weyl_order)
         return enumerate_reflection_group(self.k_simple_roots, self.k_coroot_functionals,
                                           self.rho)
 
@@ -259,8 +257,11 @@ def make_explicit_pair(g: RootSystem, restriction: Matrix,
                 f"coroot functional {fmt(f)} for k-simple root {fmt(sigma)} does not "
                 f"act by an isometry of the induced form"
             )
+    # a Fraction equals and hashes as its int value, so D root meets the int rows
+    rows, den = set(pair.restricted_integers), pair.restriction_integers[1]
     for root in pair.k_positive_roots:
-        if root not in pair.delta_t:
+        scaled = tuple([c * den for c in root])
+        if scaled not in rows and neg(scaled) not in rows:
             raise ValueError(
                 f"k-positive root {fmt(root)} is not the restriction of any root"
             )

@@ -19,9 +19,11 @@ every element as a reduced word together with its image of that weight;
 a k-type are all read off that walk, which runs in integer coroot
 coordinates.  One int fold, ``weyl_fold``, takes a point to the dominant
 chamber, for the k-type table and the central character.  The walk counts
-nothing: its callers read the exact order off the root heights
-(``weyl_group_order``) and refuse a group over MAX_WEYL elements
-(``refuse_weyl_order``) before it starts.
+nothing: its two callers, ``reflection_orbit`` and ``enumerate_reflection_group``,
+read the exact order off the root heights (``weyl_group_order``) and refuse
+a group over MAX_WEYL elements (``refuse_weyl_order``) before it starts.
+Its points, the roots and the Weyl vector come back from int rows through
+``weights.from_integers``.
 
 ``build_root_system`` builds each type once per process: it refuses a
 type over MAX_POSITIVE_ROOTS roots on every call, then returns the build
@@ -44,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .linalg import Matrix, dot, mat_vec, solve, solve_integers
-from .weights import FractionTable, Weight, check_rank, fmt, to_integers
+from .weights import Weight, check_rank, fmt, from_integers, to_integers
 
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
@@ -70,7 +72,6 @@ MAX_POSITIVE_ROOTS = 200   # build_root_system refuses more (E8 has 120)
 MAX_WEYL = 1_000_000       # no Weyl group over this order is walked (|W(E7)| = 2903040)
 MAX_CACHED_TYPES = 64      # root systems kept built by build_root_system
 MAX_CACHED_DATA = 320      # root data, of g and of every k side, kept derived by root_datum
-_WHOLE = FractionTable(1)  # n -> Fraction(n), immutable values shared by every build
 
 
 class CapExceeded(RuntimeError):
@@ -262,17 +263,11 @@ class RootDatum(NamedTuple):
     weyl_order: int
 
 
-def _weights(rows, den: int) -> tuple[Weight, ...]:
-    """The int rows over den as weights, each coordinate made a Fraction once."""
-    fractions = _WHOLE if den == 1 else FractionTable(den)
-    return tuple([tuple(map(fractions.__getitem__, row)) for row in rows])
-
-
 def _images(rows, den: int, vectors) -> tuple[tuple[tuple[int, ...], ...], tuple[Weight, ...]]:
     """The matrix rows / den times every int vector v, in order: the int
     images rows . v, and their weights."""
     scaled = tuple([tuple([dot(row, v) for row in rows]) for v in vectors])
-    return scaled, _weights(scaled, den)
+    return scaled, from_integers(scaled, den)
 
 
 @lru_cache(maxsize=MAX_CACHED_DATA)
@@ -308,11 +303,11 @@ def root_datum(simple_roots: tuple[Weight, ...], functionals: tuple[Weight, ...]
     closure = tuple(_root_closure(cartan))
     columns, n = list(zip(*sigmas)), len(sigmas)
     if sigmas == [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]:
-        positive = _weights(closure, sigma_den)     # unit vectors map each root to itself
+        positive = from_integers(closure, sigma_den)   # unit vectors map each root to itself
     else:
         _, positive = _images(columns, sigma_den, closure)
     total = [sum(column) for column in zip(*closure)]
-    rho = tuple([Fraction(dot(row, total), 2 * sigma_den) for row in columns])
+    (rho,) = from_integers([[dot(row, total) for row in columns]], 2 * sigma_den)
     return RootDatum(cartan, (tuple(map(tuple, sigmas)), sigma_den),
                      (tuple(map(tuple, funs)), fun_den), closure, positive, rho,
                      weyl_group_order(closure))
@@ -336,10 +331,10 @@ def build_root_system(t: LieType | str) -> RootSystem:
 @lru_cache(maxsize=MAX_CACHED_TYPES)
 def _build_root_system(lie_type: LieType) -> RootSystem:
     rank, gram = lie_type.rank, _simple_gram(lie_type)
-    simple = tuple(tuple(_WHOLE[int(j == i)] for j in range(rank)) for i in range(rank))
+    simple = from_integers([[int(j == i) for j in range(rank)] for i in range(rank)], 1)
     g, _ = to_integers(gram)     # functional j: x -> 2 (x, alpha_j) / (alpha_j, alpha_j)
-    functionals = tuple(tuple(_WHOLE[2 * g[i][j] // g[j][j]] for i in range(rank))
-                        for j in range(rank))
+    functionals = from_integers([[2 * g[i][j] // g[j][j] for i in range(rank)]
+                                 for j in range(rank)], 1)
     datum, expected = root_datum(simple, functionals), _positive_root_count(lie_type)
     if len(datum.closure) != expected:
         raise AssertionError(f"positive root closure for {lie_type} produced "
@@ -352,7 +347,7 @@ def _coroot_walk(x: Weight, functionals: tuple[Weight, ...], cartan):
     """The breadth-first walk of ``reflection_orbit`` in integer coroot
     coordinates, reflecting by the rows of the Cartan matrix of the root
     datum.  Returns (scale, nodes), each node (word, a) with w x = x -
-    sum_i a_i sigma_i / scale.  It walks the whole group: the callers
+    sum_i a_i sigma_i / scale.  It walks the whole group: its two callers
     refuse one over MAX_WEYL elements by its order first."""
     if functionals:
         check_rank(x, len(functionals[0]))
@@ -398,9 +393,11 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
     on which A is nondegenerate.  Each point carries its displacement a,
     with a_i increased by c_i at each reflection s_i, so that w x = x -
     sum_i a_i sigma_i; the points are recovered from it once, at the end,
-    in integers scaled by one common denominator.
+    in integers scaled by one common denominator.  A group over MAX_WEYL
+    elements is refused by its order before the walk.
     """
     datum = root_datum(simple_roots, functionals)
+    refuse_weyl_order(datum.weyl_order)
     scale, nodes = _coroot_walk(x, functionals, datum.cartan)
     orbit = [((), x)]
     if len(nodes) == 1:
@@ -408,12 +405,10 @@ def reflection_orbit(x: Weight, simple_roots: tuple[Weight, ...],
     sigmas, sigma_den = datum.simple_integers
     den = math.lcm(scale * sigma_den, *(v.denominator for v in x))
     base = [v.numerator * (den // v.denominator) for v in x]
-    factor = den // (scale * sigma_den)
-    fractions, columns = FractionTable(den), list(zip(*sigmas))
-    for word, a in nodes[1:]:
-        orbit.append((word, tuple([fractions[b - factor * dot(a, column)]
-                                   for b, column in zip(base, columns)])))
-    return orbit
+    factor, columns = den // (scale * sigma_den), list(zip(*sigmas))
+    points = from_integers([[b - factor * dot(a, column) for b, column in zip(base, columns)]
+                            for _, a in nodes[1:]], den)
+    return orbit + [(word, y) for (word, _), y in zip(nodes[1:], points)]
 
 
 @dataclass(frozen=True)
@@ -446,8 +441,11 @@ def enumerate_reflection_group(simple_roots: tuple[Weight, ...],
                                functionals: tuple[Weight, ...],
                                rho: Weight) -> list[WeylElement]:
     """Every element of the group generated by the simple reflections,
-    read off the orbit of the strictly dominant rho; depth equals length."""
-    _, nodes = _coroot_walk(rho, functionals, root_datum(simple_roots, functionals).cartan)
+    read off the orbit of the strictly dominant rho; depth equals length.
+    A group over MAX_WEYL elements is refused by its order before the walk."""
+    datum = root_datum(simple_roots, functionals)
+    refuse_weyl_order(datum.weyl_order)
+    _, nodes = _coroot_walk(rho, functionals, datum.cartan)
     return [WeylElement(word, simple_roots, functionals) for word, _ in nodes]
 
 
@@ -455,7 +453,6 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     """All Weyl group elements with correct lengths, breadth-first, of any
     rank; a group over MAX_WEYL elements (E7, E8, D8, ...) is refused by
     its exact order before the walk."""
-    refuse_weyl_order(root_datum(rs.simple_roots, rs.coroot_functionals).weyl_order)
     return enumerate_reflection_group(rs.simple_roots, rs.coroot_functionals, rs.rho_tilde)
 
 

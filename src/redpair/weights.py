@@ -4,6 +4,9 @@ Weights are tuples of Fractions.  Throughout the package a weight of the
 big algebra is written in the simple-root basis of its Cartan dual, and a
 weight of the small algebra lives in whatever coordinates the embedding
 fixes; both are plain ``Weight`` tuples and all arithmetic is exact.
+
+The package computes on int rows, weights times one common denominator:
+``to_integers`` is the one way in, ``from_integers`` the one way back.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 Weight = tuple[Fraction, ...]
 
@@ -40,24 +43,18 @@ def fmt(x: Weight) -> str:
     return "[" + ", ".join(str(a) for a in x) + "]"
 
 
-class FractionTable(dict):
-    """numerator -> Fraction(numerator, denominator), each built once, for
-    turning integer-scaled coordinates back into weights."""
-
-    def __init__(self, denominator: int):
-        super().__init__()
-        self.denominator = denominator
-
-    def __missing__(self, numerator: int) -> Fraction:
-        value = self[numerator] = Fraction(numerator, self.denominator)
-        return value
-
-
 def to_integers(a: Collection[Weight]) -> tuple[list[list[int]], int]:
     """The entries of the rows of a scaled by their common denominator D,
     as ints, and D."""
     den = math.lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def from_integers(rows: Collection[Sequence[int]], den: int) -> tuple[Weight, ...]:
+    """The weights row / den, in order, the inverse of ``to_integers``; each
+    distinct coordinate is made a Fraction once."""
+    values = {a: Fraction(a, den) for a in set().union(*rows)}
+    return tuple([tuple(map(values.__getitem__, row)) for row in rows])
 
 
 def check_rank(x: Weight, rank: int) -> None:
@@ -94,24 +91,24 @@ def scale(c: Rational, x: Weight) -> Weight:
 class WeightMultiset:
     """A finite multiset of weights of a common rank.
 
-    Entries map each weight to a strictly positive multiplicity.  The
-    rank must be given explicitly for the empty multiset.  ``integers``
-    is the same multiset as int rows over one denominator D > 0, which
-    sort as the weights do; a multiset made ``from_rows`` forms its
-    weights on first use, any other its rows.
+    It is stored as ``integers``: each weight times one denominator D > 0,
+    an int row (rows sort as the weights do), to its strictly positive
+    multiplicity; and D.  ``entries``, the same map on weights, is formed
+    on first use.  The rank must be given explicitly for the empty
+    multiset.
     """
 
     def __init__(self, entries: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = (),
                  rank: int | None = None):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        self.entries: dict[Weight, int] = {}
+        counts: dict[Weight, int] = {}
         for w, m in items:
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for {fmt(w)}")
             if m == 0:
                 continue
-            self.entries[w] = self.entries.get(w, 0) + m
-        ranks = {len(w) for w in self.entries}
+            counts[w] = counts.get(w, 0) + m
+        ranks = {len(w) for w in counts}
         if len(ranks) > 1:
             raise ValueError(f"mixed weight ranks: {sorted(ranks)}")
         if ranks:
@@ -123,6 +120,8 @@ class WeightMultiset:
             if rank is None:
                 raise ValueError("rank is required for an empty multiset")
             self.rank = rank
+        rows, den = to_integers(counts)
+        self.integers = dict(zip(map(tuple, rows), counts.values())), den
 
     @classmethod
     def from_rows(cls, rows: dict[tuple[int, ...], int], den: int, rank: int) -> WeightMultiset:
@@ -132,16 +131,9 @@ class WeightMultiset:
         return ms
 
     @cached_property
-    def entries(self) -> dict[Weight, int]:     # of a multiset made from rows
+    def entries(self) -> dict[Weight, int]:
         rows, den = self.integers
-        fractions = FractionTable(den)
-        return {tuple(map(fractions.__getitem__, row)): m for row, m in rows.items()}
-
-    @cached_property
-    def integers(self) -> tuple[dict[tuple[int, ...], int], int]:
-        """Each weight times the common denominator D, an int row, to its count; and D."""
-        rows, den = to_integers(self.entries)
-        return dict(zip(map(tuple, rows), self.entries.values())), den
+        return dict(zip(from_integers(rows, den), rows.values()))
 
     def size(self) -> int:
         """Total multiplicity."""
@@ -157,8 +149,8 @@ class WeightMultiset:
     def half_sum(self) -> Weight:
         """Half the multiplicity-weighted sum, in ints over 2 D."""
         rows, den = self.integers
-        return tuple([Fraction(sum([m * row[i] for row, m in rows.items()]), 2 * den)
-                      for i in range(self.rank)])
+        total = [sum([m * row[i] for row, m in rows.items()]) for i in range(self.rank)]
+        return from_integers([total], 2 * den)[0]
 
     def items(self) -> Iterator[tuple[Weight, int]]:
         return iter(sorted(self.entries.items()))

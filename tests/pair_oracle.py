@@ -11,7 +11,7 @@ import kernel_oracle
 from redpair.linalg import Matrix, to_integers
 from redpair.reductive import ReductivePair
 from redpair.rootsystem import RootSystem, enumerate_reflection_group
-from redpair.weights import FractionTable, Weight, WeightMultiset, fmt, weight, zero
+from redpair.weights import Weight, WeightMultiset, fmt, weight, zero
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -49,12 +49,11 @@ def _weyl_size(k_simple, functionals, rho: Weight) -> int:
 def _restrict_positive(g: RootSystem, restriction: Matrix) -> tuple[Weight, ...]:
     """restriction . root for every positive root of g, in order.  The rows
     are scaled by their common denominator D into integers, the roots have
-    integer coordinates, and each restricted coordinate is made a Fraction
-    with denominator D once."""
+    integer coordinates, and each restricted coordinate is a Fraction with
+    denominator D."""
     rows, den = to_integers(restriction)
-    fractions = FractionTable(den)
     return tuple(
-        tuple([fractions[sum([a * c.numerator for a, c in zip(row, root)])]
+        tuple([Fraction(sum([a * c.numerator for a, c in zip(row, root)]), den)
                for row in rows])
         for root in g.positive_roots
     )

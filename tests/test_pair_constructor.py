@@ -127,7 +127,9 @@ def test_explicit_pairs_match_the_oracle():
     a2 = build_root_system("A2")
     good = [([[2, 2]], [vec(2)], [(1,)]),
             (identity(2), [], []),
-            (identity(2), [vec(1, 0)], [(2, -1)])]
+            (identity(2), [vec(1, 0)], [(2, -1)]),
+            # D = 2: the k root 1/2 is the int row 1, the restriction of a simple root
+            ([["1/2", "1/2"]], [vec("1/2")], [(4,)])]
     for args in good:
         assert_same_pair(make_explicit_pair(a2, *args),
                          pair_oracle.make_explicit_pair(a2, *args))
@@ -141,7 +143,9 @@ def test_explicit_pairs_match_the_oracle():
            ([[2, 2]], [vec(2)], [("1/3",)]),
            ([[2, 2]], [vec(2)], [(2,)]),
            (identity(2), [vec(1, 0), vec(0, 1)], [(2, 1), (1, 2)]),
-           (identity(2), [vec(1, 0)], [(2, 17)])]
+           (identity(2), [vec(1, 0)], [(2, 17)]),
+           # D root = 1/2 is no int row: refused, not rounded onto one
+           ([[2, 2]], [vec("1/2")], [(4,)])]
     for args in bad:
         assert_same_error(lambda: make_explicit_pair(a2, *args),
                           lambda: pair_oracle.make_explicit_pair(a2, *args))

@@ -162,6 +162,23 @@ def test_weyl_rank_cap(monkeypatch):
             weyl_group(build_root_system(name))
 
 
+def test_library_weyl_walks_refuse_over_the_cap_before_walking(monkeypatch):
+    # both walk functions read the exact order off their root datum and
+    # refuse it themselves, not only through their callers
+    def no_walk(*args):
+        raise AssertionError("the Weyl walk ran")
+
+    monkeypatch.setattr("redpair.rootsystem._coroot_walk", no_walk)
+    for name in ("E7", "E8", "D8"):
+        rs = build_root_system(name)
+        data = (rs.simple_roots, rs.coroot_functionals)
+        for walk in (lambda: reflection_orbit(rs.rho_tilde, *data),
+                     lambda: enumerate_reflection_group(*data, rs.rho_tilde)):
+            with pytest.raises(CapExceeded,
+                               match="^reflection group exceeds the cap of 1000000 elements$"):
+                walk()
+
+
 def test_positive_root_count_cap():
     # A19 x A4 has 190 + 10 positive roots; one A1 more is over the cap
     assert MAX_POSITIVE_ROOTS == 200

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from redpair.weights import WeightMultiset, add, scale, sub, vec, zero
+from redpair.weights import (WeightMultiset, add, from_integers, scale, sub, to_integers, vec,
+                             zero)
 from series_oracle import first_excess, minus
 
 
@@ -21,6 +23,26 @@ def test_arithmetic():
     assert scale("1/2", vec(3, 5)) == vec("3/2", "5/2")
     with pytest.raises(ValueError):
         add(vec(1), vec(1, 2))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(width=st.integers(0, 4), data=st.data(), den=st.integers(1, 12))
+def test_from_integers_inverts_to_integers(width, data, den):
+    rows = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=width, max_size=width),
+                              max_size=5))
+    weights = from_integers(rows, den)
+    assert weights == tuple(tuple(Fraction(a, den) for a in row) for row in rows)
+    assert from_integers(*to_integers(weights)) == weights
+
+
+def test_a_multiset_of_weights_equals_the_one_from_its_rows():
+    ms = WeightMultiset({vec("1/2", -1): 2, vec(0, "3/4"): 1, vec(-2, 0): 3})
+    rows, den = ms.integers
+    assert den == 4
+    again = WeightMultiset.from_rows(dict(rows), den, 2)
+    assert again == ms
+    assert list(again.entries.items()) == list(ms.entries.items()) == \
+        [(vec("1/2", -1), 2), (vec(0, "3/4"), 1), (vec(-2, 0), 3)]
 
 
 def test_half_sum_empty_is_zero():
